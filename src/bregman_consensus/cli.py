@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
+from . import solver
 from .datasets import synthetic_problem
 from .divergences import divergence_spec
 from .ensemble_inputs import (
@@ -41,7 +42,7 @@ from .ensemble_inputs import (
 )
 from .estimator import check_probabilities
 from .exceptions import BregmanConsensusError, UnsupportedDivergenceError
-from .solver import SolverConfig, lambda_threshold, run
+from .solver import SolverConfig, lambda_threshold
 
 _DIVERGENCE_TOKENS = ("squared", "logistic", "bose-einstein", "itakura-saito",
                       "euclidean", "kl", "gen-i")
@@ -149,13 +150,17 @@ def _summary_line(labeling, trace):
             f"iters={labeling.iterations_used} J={trace[-1]!r}")
 
 
-def _diagnostics_entries(pi, similarity, config, args, burn_in):
-    """Run with snapshots plus a tight reference run; build report entries."""
-    record, state = run(pi, similarity, config, record_copies=True)
+def _diagnostics_entries(recorded, pi, similarity, config, args, burn_in):
+    """Report entries and trace rows from a recorded run plus a tight reference run.
+
+    ``recorded`` is the ``(labeling, state)`` of a finished
+    ``record_copies=True`` run with ``config``.
+    """
+    record, state = recorded
     tight = SolverConfig(divergence=config.divergence, alpha=config.alpha,
                          lam=config.lam, epsilon=1e-14,
                          max_iters=config.max_iters, threads=config.threads)
-    _, state_star = run(pi, similarity, tight)
+    _, state_star = solver.run(pi, similarity, tight)
 
     rate = diag.qlinear_ratios(state.copy_history, (state_star.y_left, state_star.y_right),
                                burn_in=burn_in)
@@ -204,17 +209,19 @@ def _diagnostics_entries(pi, similarity, config, args, burn_in):
     for t, value in enumerate(state.objective_trace):
         ratio = repr(ratio_at[t]) if t in ratio_at else ""
         trace_rows.append(f"{t},{value!r},{monitor.values[t]!r},{ratio}")
-    return entries, trace_rows, record, state
+    return entries, trace_rows
 
 
 def _cmd_run(args) -> int:
     pi, similarity, config = _load_problem(args)
-    labeling, state = run(pi, similarity, config)
+    recording = bool(args.diagnostics_out)
+    labeling, state = solver.run(pi, similarity, config, record_copies=recording)
     _write_labels(args.labels_out, labeling)
     if args.trace_out:
         _write_trace(args.trace_out, state.objective_trace)
-    if args.diagnostics_out:
-        entries, _, _, _ = _diagnostics_entries(pi, similarity, config, None, burn_in=5)
+    if recording:
+        entries, _ = _diagnostics_entries((labeling, state), pi, similarity, config, None,
+                                          burn_in=5)
         with open(args.diagnostics_out, "w", encoding="utf-8") as fh:
             fh.write(diag.render_report(entries))
     line = _summary_line(labeling, state.objective_trace)
@@ -242,8 +249,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     pi, similarity, config = _load_problem(args)
-    entries, trace_rows, record, _ = _diagnostics_entries(pi, similarity, config, args,
-                                                          burn_in=args.burn_in)
+    record, state = solver.run(pi, similarity, config, record_copies=True)
+    entries, trace_rows = _diagnostics_entries((record, state), pi, similarity, config, args,
+                                               burn_in=args.burn_in)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(diag.render_report(entries))
     if args.trace_out:

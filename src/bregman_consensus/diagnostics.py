@@ -23,7 +23,7 @@ import numpy as np
 from .divergences import DivergenceKind
 from .ensemble_inputs import SimilarityMatrix
 from .exceptions import InsufficientTraceError, ShapeError, UnsupportedDivergenceError
-from .solver import SolverConfig, SolverState, _Graph
+from .solver import SolverConfig, SolverState
 
 _HESSIAN_KINDS = (DivergenceKind.KL, DivergenceKind.GENERALIZED_I)
 _MAX_EIG_DIM = 200  # diagnostics are desk-scale verifiers, not production paths
@@ -91,12 +91,12 @@ def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
     n, k = yl.shape
     c = spec.curvature_scale
     alpha, lam = config.alpha, config.lam
-    graph = _Graph(similarity)
-    nbr_left = graph.weighted_sum(yl, 0, n)  # sum_i s_ij * yl_i
+    op = similarity.operator
+    nbr_left = op.matvec(yl)  # sum_i s_ij * yl_i
 
     diagonals = {}
     for i in range(n):
-        gamma = alpha * graph.row_sum[i]
+        gamma = alpha * op.row_sum[i]
         diagonals[(("l", i), ("l", i))] = c * (gamma + lam) / yl[i]
         diagonals[(("r", i), ("r", i))] = (
             c * (pi[i] + alpha * nbr_left[i] + lam * yl[i]) / (yr[i] ** 2)
@@ -147,18 +147,17 @@ def grad_objective(state: SolverState, pi, similarity: SimilarityMatrix,
     spec = config.divergence
     pi = np.asarray(pi, dtype=np.float64)
     yl, yr = state.y_left, state.y_right
-    n, _ = yl.shape
-    graph = _Graph(similarity)
+    op = similarity.operator
     alpha, lam = config.alpha, config.lam
 
     Gl, Gr = spec.grad(yl), spec.grad(yr)
     Hr = spec.hess_diag(yr)
-    rs = graph.row_sum[:, None]
-    nbr_gr = graph.weighted_sum(Gr, 0, n)
-    nbr_yl = graph.weighted_sum(yl, 0, n)
+    rs = op.row_sum[:, None]
+    nbr_gr = op.matvec(Gr)
+    nbr_yl = op.matvec(yl)
 
     gl = alpha * (rs * Gl - nbr_gr) + lam * (Gl - Gr)
-    gr = Hr * ((1.0 + alpha * graph.row_sum + lam)[:, None] * yr
+    gr = Hr * ((1.0 + alpha * op.row_sum + lam)[:, None] * yr
                - pi - alpha * nbr_yl - lam * yl)
     return np.concatenate([gl.ravel(), gr.ravel()])
 
@@ -227,8 +226,7 @@ def delta_j(left_a, left_b, similarity: SimilarityMatrix, config: SolverConfig) 
     left_b = np.asarray(left_b, dtype=np.float64)
     if left_a.shape != left_b.shape:
         raise ShapeError(f"shape mismatch {left_a.shape} vs {left_b.shape}")
-    graph = _Graph(similarity)
-    weights = config.lam + config.alpha * graph.row_sum
+    weights = config.lam + config.alpha * similarity.operator.row_sum
     return float(np.sum(weights * np.atleast_1d(spec.bregman(left_a, left_b))))
 
 

@@ -323,3 +323,22 @@ def validate_point(spec: DivergenceSpec, p) -> np.ndarray:
     if spec.simplex_domain and abs(float(p.sum()) - 1.0) > 1e-9:
         raise DomainError(f"simplex point must sum to 1, got {p.sum()!r}")
     return spec.clamp(p)
+
+
+def validate_probabilities(spec: DivergenceSpec, pi) -> np.ndarray:
+    """Check an (n, k) class-probability matrix against the spec; return it clamped.
+
+    The matrix must be 2-D with ``spec.dimension`` columns, finite, and
+    inside the domain up to the clamping floor.
+    """
+    pi = np.ascontiguousarray(pi, dtype=np.float64)
+    if pi.ndim != 2:
+        raise ShapeError(f"probabilities must be 2-D (n, k), got shape {pi.shape}")
+    if pi.shape[1] != spec.dimension:
+        raise ShapeError(
+            f"probabilities have {pi.shape[1]} columns, divergence dimension is {spec.dimension}"
+        )
+    if not np.all(np.isfinite(pi)):
+        raise ShapeError("probabilities contain non-finite values")
+    spec.check_domain(pi)
+    return spec.clamp(pi)

@@ -18,7 +18,9 @@ File formats handled here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +38,9 @@ class SimilarityMatrix:
     """Symmetric sparse similarity, stored as canonical i < j triplets.
 
     Entries are in (0, 1]; pairs that never co-occur are simply absent and
-    read as 0.  The diagonal is never stored.
+    read as 0.  The diagonal is never stored, and each unordered pair at most
+    once.  The arrays are read-only, so the :attr:`operator` built from them
+    on first use stays valid for the matrix's lifetime.
     """
 
     n: int
@@ -58,11 +62,15 @@ class SimilarityMatrix:
             if np.any(vals <= 0.0) or np.any(vals > 1.0):
                 raise RangeError("similarity values must lie in (0, 1]")
         order = np.lexsort((cols, rows))
-        object.__setattr__(self, "rows", rows[order])
-        object.__setattr__(self, "cols", cols[order])
-        object.__setattr__(self, "vals", vals[order])
-        for arr in (self.rows, self.cols, self.vals):
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if np.any(same):
+            p = int(np.argmax(same))
+            raise ShapeError(f"pair ({rows[p]}, {cols[p]}) is stored more than once "
+                             "(duplicate or mirrored)")
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def nnz(self) -> int:
@@ -116,21 +124,82 @@ class SimilarityMatrix:
         a[self.cols, self.rows] = self.vals
         return a
 
+    @cached_property
+    def operator(self) -> "SimilarityOperator":
+        """The symmetrized operator, built once per matrix on first use."""
+        return SimilarityOperator(self)
+
     def symmetrized_csr(self):
         """Both orientations in CSR form (indptr, indices, data), ascending indices.
 
         Row sums of this structure are the per-instance weights
-        ``sum_j s_ij`` the solver and diagnostics need.
+        ``sum_j s_ij`` the solver and diagnostics need.  The arrays are the
+        :attr:`operator`'s own and read-only.
         """
-        i2 = np.concatenate([self.rows, self.cols])
-        j2 = np.concatenate([self.cols, self.rows])
-        v2 = np.concatenate([self.vals, self.vals])
+        op = self.operator
+        return op.indptr, op.indices, op.data
+
+
+class SimilarityOperator:
+    """Symmetrized CSR view of a :class:`SimilarityMatrix`, fixed ascending order.
+
+    ``row_sum[i]`` is ``sum_j s_ij``; :meth:`weighted_sum` and :meth:`matvec`
+    give the products ``S @ Y`` the solver, the objective and the diagnostics
+    share.
+    """
+
+    def __init__(self, similarity: SimilarityMatrix):
+        self.n = similarity.n
+        i2 = np.concatenate([similarity.rows, similarity.cols])
+        j2 = np.concatenate([similarity.cols, similarity.rows])
+        v2 = np.concatenate([similarity.vals, similarity.vals])
         order = np.lexsort((j2, i2))
-        i2, j2, v2 = i2[order], j2[order], v2[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, i2 + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, j2, v2
+        self.indices, self.data = j2[order], v2[order]
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.add.at(self.indptr, i2 + 1, 1)
+        np.cumsum(self.indptr, out=self.indptr)
+        self.row_sum = self.matvec(np.ones((self.n, 1)))[:, 0]
+        for arr in (self.indptr, self.indices, self.data, self.row_sum):
+            arr.setflags(write=False)
+
+    def weighted_sum(self, Y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Per-row sums sum_j s_rj * Y[j] for rows lo..hi-1.
+
+        Each row reduces its own contiguous slice sequentially, so the result
+        is bitwise independent of how rows are chunked across workers.  Empty
+        rows contribute zero; reduceat sees only nonempty rows' offsets, whose
+        consecutive gaps are exactly the nonempty rows' slices.
+        """
+        start, end = self.indptr[lo], self.indptr[hi]
+        out = np.zeros((hi - lo, Y.shape[1]))
+        if start == end:
+            return out
+        prod = self.data[start:end, None] * Y[self.indices[start:end]]
+        counts = np.diff(self.indptr[lo : hi + 1])
+        nonempty = np.flatnonzero(counts > 0)
+        offsets = np.asarray(self.indptr[lo:hi] - start)[nonempty]
+        out[nonempty] = np.add.reduceat(prod, offsets, axis=0)
+        return out
+
+    def matvec(self, Y: np.ndarray) -> np.ndarray:
+        """``S @ Y`` for an (n, m) array, row by row as in :meth:`weighted_sum`."""
+        return self.weighted_sum(Y, 0, self.n)
+
+
+def _first_repeat(lo: np.ndarray, hi: np.ndarray):
+    """Position of the first pair equal to an earlier one, or None.
+
+    Each pair maps to one integer key; a stable sort of the keys puts every
+    repeat after the earlier occurrences of its pair.
+    """
+    if lo.size < 2:
+        return None
+    offset = hi - hi.min()
+    key = lo * (int(offset.max()) + 1) + offset
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
+    return int(repeats.min()) if repeats.size else None
 
 
 def average_class_probabilities(outputs, domain_floor: float = 1e-12) -> np.ndarray:
@@ -258,7 +327,11 @@ def load_partitions_csv(path) -> np.ndarray:
 
 
 def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
-    """Read ``i,j,s`` triplet lines into a :class:`SimilarityMatrix`."""
+    """Read ``i,j,s`` triplet lines into a :class:`SimilarityMatrix`.
+
+    A pair listed twice, in either orientation, is rejected with the line of
+    its second occurrence.
+    """
     ii, jj, ss = [], [], []
     for line_no, tokens in _read_rows(path):
         if not _is_number(tokens[0]):
@@ -278,9 +351,17 @@ def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
         ss.append(s)
     if n is None:
         n = (max(max(ii), max(jj)) + 1) if ii else 0
-    return SimilarityMatrix.from_pairs(n, np.array(ii, dtype=np.int64),
-                                       np.array(jj, dtype=np.int64),
-                                       np.array(ss, dtype=np.float64))
+    i, j = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
+    vals = np.array(ss, dtype=np.float64)
+    del ii, jj, ss  # the parsed lists outweigh the arrays; free them first
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    second = _first_repeat(lo, hi)
+    if second is not None:
+        data_lines = (no for no, tokens in _read_rows(path) if _is_number(tokens[0]))
+        line_no = next(itertools.islice(data_lines, second, None))
+        raise InputFormatError(path, line_no,
+                               f"pair ({lo[second]}, {hi[second]}) repeats an earlier line")
+    return SimilarityMatrix.from_pairs(n, i, j, vals)
 
 
 def load_labels(path) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divergences import DivergenceKind, DivergenceSpec, divergence_spec
+from .divergences import DivergenceKind, DivergenceSpec, divergence_spec, validate_probabilities
 from .ensemble_inputs import SimilarityMatrix
 from .exceptions import ShapeError
 from .solver import SolverConfig, run
@@ -21,20 +21,11 @@ from .solver import SolverConfig, run
 def check_probabilities(pi, spec: DivergenceSpec) -> np.ndarray:
     """Validate and clean a class-probability matrix for the given divergence.
 
-    Checks shape and finiteness, clamps into the divergence domain, and for
-    the simplex-domain kind re-normalizes rows to unit L1.
+    Checks shape and finiteness, clamps into the divergence domain (the same
+    check :func:`~bregman_consensus.solver.run` makes), and for the
+    simplex-domain kind re-normalizes rows to unit L1.
     """
-    pi = np.ascontiguousarray(pi, dtype=np.float64)
-    if pi.ndim != 2:
-        raise ShapeError(f"probabilities must be 2-D (n, k), got shape {pi.shape}")
-    if pi.shape[1] != spec.dimension:
-        raise ShapeError(
-            f"probabilities have {pi.shape[1]} columns, divergence dimension is {spec.dimension}"
-        )
-    if not np.all(np.isfinite(pi)):
-        raise ShapeError("probabilities contain non-finite values")
-    spec.check_domain(pi)
-    pi = spec.clamp(pi)
+    pi = validate_probabilities(spec, pi)
     if spec.simplex_domain:
         pi = pi / pi.sum(axis=1, keepdims=True)
     return pi

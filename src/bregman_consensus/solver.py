@@ -17,6 +17,21 @@ symmetrically and the diagonal absent.  Both half-steps have closed forms:
 * left copies are weighted means in the gradient (dual) space, mapped back
   through the gradient inverse.
 
+The pair term is never evaluated pair by pair.  With ``r = S 1`` the row
+sums of the symmetric similarity, it equals the per-node sums (the
+Bregman-information identity of Banerjee et al., "Clustering with Bregman
+Divergences", JMLR 2005)::
+
+    sum_i r_i (phi(yl_i) - phi(yr_i) + <yr_i, grad phi(yr_i)>)
+      - sum_i <yl_i, (S grad phi(yr))_i>
+
+The left sweep already forms ``S grad phi(yr)`` for the same right copies,
+so each iteration's objective costs O(n k) on top of the sweeps; a bare
+objective call costs one sparse product of S with an n-by-k matrix.  The
+similarity operator (symmetrized CSR and row sums) is built once per
+:class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix` and shared by
+the solver, the objective and the diagnostics.
+
 Within a half-step the per-instance updates are mutually independent (right
 updates read only left copies and ``pi``; left updates read only right
 copies), so sweeps write into fresh buffers that are swapped at a barrier,
@@ -32,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .divergences import DivergenceSpec
+from .divergences import DivergenceSpec, validate_probabilities
 from .ensemble_inputs import SimilarityMatrix
 from .exceptions import ArgumentError, DivisionDegenerateError, ShapeError
 
@@ -90,49 +105,21 @@ class Labeling:
     converged: bool
 
 
-class _Graph:
-    """Symmetrized CSR view of a similarity matrix, fixed ascending order."""
-
-    def __init__(self, similarity: SimilarityMatrix):
-        self.n = similarity.n
-        self.indptr, self.indices, self.data = similarity.symmetrized_csr()
-        self.row_sum = self.weighted_sum(np.ones((self.n, 1)), 0, self.n)[:, 0]
-
-    def weighted_sum(self, Y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Per-row sums sum_j s_rj * Y[j] for rows lo..hi-1.
-
-        Each row reduces its own contiguous slice sequentially, so the result
-        is bitwise independent of how rows are chunked across workers.  Empty
-        rows contribute zero; reduceat sees only nonempty rows' offsets, whose
-        consecutive gaps are exactly the nonempty rows' slices.
-        """
-        start, end = self.indptr[lo], self.indptr[hi]
-        out = np.zeros((hi - lo, Y.shape[1]))
-        if start == end:
-            return out
-        prod = self.data[start:end, None] * Y[self.indices[start:end]]
-        counts = np.diff(self.indptr[lo : hi + 1])
-        nonempty = np.flatnonzero(counts > 0)
-        offsets = np.asarray(self.indptr[lo:hi] - start)[nonempty]
-        out[nonempty] = np.add.reduceat(prod, offsets, axis=0)
-        return out
-
-
 def _chunks(n: int, threads: int):
     bounds = np.linspace(0, n, num=min(threads, n) + 1, dtype=np.int64)
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _right_block(graph, pi, y_left, alpha, lam, out, lo, hi):
-    nbr = graph.weighted_sum(y_left, lo, hi)
-    gamma = alpha * graph.row_sum[lo:hi]
+def _right_block(op, pi, y_left, alpha, lam, out, lo, hi):
+    nbr = op.weighted_sum(y_left, lo, hi)
+    gamma = alpha * op.row_sum[lo:hi]
     denom = (1.0 + gamma + lam)[:, None]
     out[lo:hi] = (pi[lo:hi] + alpha * nbr + lam * y_left[lo:hi]) / denom
 
 
-def _left_block(grad_right, graph, spec, y_left, y_right, alpha, lam, out, lo, hi):
-    nbr = graph.weighted_sum(grad_right, lo, hi)
-    gamma = alpha * graph.row_sum[lo:hi]
+def _left_block(grad_right, op, spec, y_left, alpha, lam, out, nbr_out, lo, hi):
+    nbr = nbr_out[lo:hi] = op.weighted_sum(grad_right, lo, hi)
+    gamma = alpha * op.row_sum[lo:hi]
     denom = gamma + lam
     active = denom > 0.0
     dual = np.where(
@@ -155,18 +142,35 @@ def _sweep(block_fn, n, threads, executor):
         f.result()  # barrier; also re-raises worker errors
 
 
-def _objective(y_left, y_right, pi, similarity, config, lam=None):
+def _objective(y_left, y_right, pi, similarity, config, lam=None,
+               grad_right=None, nbr_grad=None):
+    """Split objective J at the given copies; ``lam`` overrides the coupling.
+
+    ``grad_right`` (grad phi of the right copies) and ``nbr_grad`` (its
+    product with the similarity) may be passed in when the caller already
+    has them; otherwise they are computed here.  The pair term is a weighted
+    sum of divergences, so it is clamped at 0 against rounding.
+    """
     spec = config.divergence
     lam = config.lam if lam is None else lam
-    total = float(np.sum(spec.bregman(pi, y_right)))
+    phi_l, phi_r = spec.phi(y_left), spec.phi(y_right)
+    if grad_right is None:
+        grad_right = spec.grad(y_right)
+    y_left, y_right = spec.clamp(y_left), spec.clamp(y_right)
+
+    def to_right(p, phi_p):  # per-row d(p_i, yr_i)
+        return phi_p - phi_r - np.sum((p - y_right) * grad_right, axis=-1)
+
+    total = float(np.sum(to_right(spec.clamp(pi), spec.phi(pi))))
     if config.alpha > 0.0 and similarity.nnz:
-        r, c, v = similarity.rows, similarity.cols, similarity.vals
-        pair = np.sum(v * spec.bregman(y_left[r], y_right[c])) + np.sum(
-            v * spec.bregman(y_left[c], y_right[r])
-        )
-        total += config.alpha * float(pair)
+        op = similarity.operator
+        if nbr_grad is None:
+            nbr_grad = op.matvec(grad_right)
+        per_node = (op.row_sum * (phi_l - phi_r + np.sum(y_right * grad_right, axis=-1))
+                    - np.sum(y_left * nbr_grad, axis=-1))
+        total += config.alpha * max(float(np.sum(per_node)), 0.0)
     if lam > 0.0:
-        total += lam * float(np.sum(spec.bregman(y_left, y_right)))
+        total += lam * float(np.sum(to_right(y_left, phi_l)))
     return total
 
 
@@ -183,9 +187,8 @@ def objective_j(state: SolverState, pi, similarity, config) -> float:
 
 def update_right(j: int, state: SolverState, pi, similarity, config) -> np.ndarray:
     """Closed-form minimizer for instance ``j``'s right copy, left copies fixed."""
-    graph = _Graph(similarity)
     out = np.empty_like(state.y_right)
-    _right_block(graph, np.asarray(pi, dtype=np.float64), state.y_left,
+    _right_block(similarity.operator, np.asarray(pi, dtype=np.float64), state.y_left,
                  config.alpha, config.lam, out, j, j + 1)
     return out[j]
 
@@ -198,11 +201,10 @@ def update_left(i: int, state: SolverState, similarity, config) -> np.ndarray:
     ``alpha * s_ij`` and ``lam``.  When both weights vanish the subproblem is
     vacuous and the old copy is returned unchanged.
     """
-    spec = config.divergence
-    graph = _Graph(similarity)
     out = np.empty_like(state.y_left)
-    _left_block(spec.grad(state.y_right), graph, spec, state.y_left, state.y_right,
-                config.alpha, config.lam, out, i, i + 1)
+    nbr = np.empty_like(state.y_left)
+    _left_block(config.divergence.grad(state.y_right), similarity.operator, config.divergence,
+                state.y_left, config.alpha, config.lam, out, nbr, i, i + 1)
     return out[i]
 
 
@@ -245,18 +247,12 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     (Labeling, SolverState)
     """
     spec = config.divergence
-    pi = np.asarray(pi, dtype=np.float64)
-    if pi.ndim != 2:
-        raise ShapeError(f"pi must be 2-D, got shape {pi.shape}")
+    pi = validate_probabilities(spec, pi)
     n, k = pi.shape
-    if k != spec.dimension:
-        raise ShapeError(f"pi has {k} columns but divergence dimension is {spec.dimension}")
     if similarity.n != n:
         raise ShapeError(f"similarity is over {similarity.n} instances, pi over {n}")
-    spec.check_domain(pi)
-    pi = spec.clamp(pi)
 
-    graph = _Graph(similarity)
+    op = similarity.operator
     y_left = np.full((n, k), 1.0 / k)
     y_right = np.full((n, k), 1.0 / k)
     trace = [_objective(y_left, y_right, pi, similarity, config)]
@@ -269,20 +265,22 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
         for iteration in range(1, config.max_iters + 1):
             new_right = np.empty_like(y_right)
             _sweep(
-                lambda lo, hi: _right_block(graph, pi, y_left, config.alpha,
+                lambda lo, hi: _right_block(op, pi, y_left, config.alpha,
                                             config.lam, new_right, lo, hi),
                 n, config.threads, executor)
             y_right = new_right
 
             grad_right = spec.grad(y_right)
             new_left = np.empty_like(y_left)
+            nbr_grad = np.empty_like(y_left)  # S grad phi(yr), reused by the objective
             _sweep(
-                lambda lo, hi: _left_block(grad_right, graph, spec, y_left, y_right,
-                                           config.alpha, config.lam, new_left, lo, hi),
+                lambda lo, hi: _left_block(grad_right, op, spec, y_left, config.alpha,
+                                           config.lam, new_left, nbr_grad, lo, hi),
                 n, config.threads, executor)
             y_left = new_left
 
-            value = _objective(y_left, y_right, pi, similarity, config)
+            value = _objective(y_left, y_right, pi, similarity, config,
+                               grad_right=grad_right, nbr_grad=nbr_grad)
             trace.append(value)
             if history is not None:
                 history.append((y_left.copy(), y_right.copy()))
@@ -305,15 +303,15 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
 # -- threshold for copy coalescence ------------------------------------------
 
 
-def _grad_j0(Y, pi, graph, config):
+def _grad_j0(Y, pi, op, config):
     spec = config.divergence
     G = spec.grad(Y)
     H = spec.hess_diag(Y)
     grad = H * (Y - pi)
     if config.alpha > 0.0:
-        rs = graph.row_sum[:, None]
-        nbr_g = graph.weighted_sum(G, 0, graph.n)
-        nbr_y = graph.weighted_sum(Y, 0, graph.n)
+        rs = op.row_sum[:, None]
+        nbr_g = op.matvec(G)
+        nbr_y = op.matvec(Y)
         grad += config.alpha * (rs * G - nbr_g)  # first-argument occurrences
         grad += config.alpha * H * (rs * Y - nbr_y)  # second-argument occurrences
     return grad
@@ -347,12 +345,11 @@ def minimize_j0(pi, similarity, config, y0=None, max_iters=20000, tol=1e-12):
     """
     spec = config.divergence
     pi = spec.clamp(np.asarray(pi, dtype=np.float64))
-    graph = _Graph(similarity)
     Y = _project_domain(pi.copy() if y0 is None else np.asarray(y0, dtype=np.float64), spec)
     value = objective_j0(Y, pi, similarity, config)
     step = 1.0
     for _ in range(max_iters):
-        g = _grad_j0(Y, pi, graph, config)
+        g = _grad_j0(Y, pi, similarity.operator, config)
         improved = False
         trial = step
         for _ in range(60):  # backtrack until the projected step descends

@@ -65,6 +65,26 @@ def partition_similarity(rng, n, r2=4, clusters=3):
     return coassociation_similarity(parts)
 
 
+def pairwise_objective(y_left, y_right, pi, similarity, config, lam=None):
+    """The split objective summed pair by pair over the stored triplets.
+
+    The direct form the solver's per-node-sum objective must reproduce:
+    every stored pair (i < j) is read in both orders.
+    """
+    spec = config.divergence
+    lam = config.lam if lam is None else lam
+    total = float(np.sum(spec.bregman(pi, y_right)))
+    if config.alpha > 0.0 and similarity.nnz:
+        r, c, v = similarity.rows, similarity.cols, similarity.vals
+        pair = np.sum(v * spec.bregman(y_left[r], y_right[c])) + np.sum(
+            v * spec.bregman(y_left[c], y_right[r])
+        )
+        total += config.alpha * float(pair)
+    if lam > 0.0:
+        total += lam * float(np.sum(spec.bregman(y_left, y_right)))
+    return total
+
+
 # -- independent derivative-free minimization of the two half-step objectives
 
 

@@ -184,3 +184,31 @@ def test_missing_file_exits_2(tmp_path, capsys):
                  "--partitions", str(tmp_path / "p.csv"),
                  "--labels-out", str(tmp_path / "l.csv")])
     assert code == 2
+
+
+def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypatch):
+    from bregman_consensus import cli, solver
+    from bregman_consensus import diagnostics as diag
+
+    pi, parts, _ = problem_files
+    report = tmp_path / "report.txt"
+    argv = _run_args(pi, parts, tmp_path, "d", "--alpha", "0.001", "--threads", "1",
+                     "--diagnostics-out", str(report))
+    calls = []
+    real_run = solver.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(kwargs.get("record_copies", False))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "run", counting_run)
+    assert main(argv) == 0
+    assert calls == [True, False]  # the recorded main solve and the 1e-14 reference
+    monkeypatch.undo()
+
+    # the report equals one built from a separate record_copies=True run
+    pi_arr, similarity, config = cli._load_problem(cli.build_parser().parse_args(argv))
+    recorded = solver.run(pi_arr, similarity, config, record_copies=True)
+    entries, _ = cli._diagnostics_entries(recorded, pi_arr, similarity, config, None, burn_in=5)
+    assert report.read_bytes() == diag.render_report(entries).encode("utf-8")
+

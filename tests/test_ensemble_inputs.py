@@ -111,6 +111,22 @@ class TestSimilarityMatrix:
         with pytest.raises(RangeError):
             SimilarityMatrix(3, np.array([0]), np.array([1]), np.array([1.5]))
 
+    def test_rejects_duplicate_and_mirrored_pairs(self):
+        with pytest.raises(ShapeError, match="more than once"):
+            SimilarityMatrix.from_pairs(3, [0, 1], [1, 0], [0.5, 0.5])
+        with pytest.raises(ShapeError, match="more than once"):
+            SimilarityMatrix(4, np.array([2, 0, 2]), np.array([3, 1, 3]),
+                             np.array([0.1, 0.2, 0.3]))
+
+    def test_operator_is_built_once_and_read_only(self, rng):
+        s = random_similarity(rng, 6)
+        op = s.operator
+        assert s.operator is op
+        indptr, indices, data = s.symmetrized_csr()
+        assert indptr is op.indptr and indices is op.indices and data is op.data
+        for arr in (indptr, indices, data, op.row_sum):
+            assert not arr.flags.writeable
+
     def test_from_dense_roundtrip(self, rng):
         s = random_similarity(rng, 8)
         again = SimilarityMatrix.from_dense(s.to_dense())
@@ -208,6 +224,15 @@ class TestFileFormats:
         path.write_text("0,1,1.5\n")
         with pytest.raises(InputFormatError):
             load_similarity_triplets(path)
+
+    def test_similarity_triplets_reject_repeated_pair(self, tmp_path):
+        path = tmp_path / "sim.txt"
+        path.write_text("i,j,s\n0,1,0.5\n1,2,0.3\n\n2,3,0.1\n1,0,0.5\n0,1,0.5\n")
+        with pytest.raises(InputFormatError) as err:
+            load_similarity_triplets(path)
+        assert err.value.path == str(path)
+        assert err.value.line_no == 6  # the mirrored copy, not the later exact one
+        assert "(0, 1)" in str(err.value)
 
     def test_labels_file(self, tmp_path):
         path = tmp_path / "truth.csv"

@@ -43,9 +43,7 @@ class TestGraphWeightedSums:
     """Neighbor sums against a dense oracle, including empty-row layouts."""
 
     def _check(self, similarity, rng):
-        from bregman_consensus.solver import _Graph
-
-        graph = _Graph(similarity)
+        graph = similarity.operator
         dense = similarity.to_dense()
         Y = rng.normal(size=(similarity.n, 3))
         np.testing.assert_allclose(graph.row_sum, dense.sum(axis=1), atol=1e-12)
@@ -288,6 +286,15 @@ class TestRun:
             run(pi, SimilarityMatrix.empty(5), cfg)
         with pytest.raises(ShapeError):
             run(pi[:, :1], SimilarityMatrix.empty(4), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_rejects_non_finite_pi(self, bad):
+        pi = np.full((3, 2), 0.5)
+        pi[1, 0] = bad
+        s = SimilarityMatrix(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.5]))
+        cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), max_iters=50)
+        with pytest.raises(ShapeError, match="non-finite"):
+            run(pi, s, cfg)
 
     def test_config_validation(self):
         spec = divergence_spec("gen-i", 2)
