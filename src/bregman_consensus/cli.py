@@ -20,6 +20,7 @@ for a divergence without closed-form blocks.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -57,8 +58,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--sparsify", type=float, default=0.0,
                    help="drop similarity entries below this threshold")
     p.add_argument("--threads", type=int, default=0,
-                   help="sweep workers; 0 means all cores (results never depend on this)")
-    p.add_argument("--seed", type=int, default=0)
+                   help="ignored; accepted for compatibility (the solve runs in one thread)")
 
 
 def _add_input_flags(p: argparse.ArgumentParser):
@@ -116,10 +116,8 @@ def _load_problem(args):
         similarity = load_similarity_triplets(args.similarity, n=pi.shape[0])
     if args.sparsify > 0.0:
         similarity = sparsify(similarity, args.sparsify)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     config = SolverConfig(divergence=spec, alpha=args.alpha, lam=args.lam,
-                          epsilon=args.epsilon, max_iters=args.max_iters,
-                          threads=threads)
+                          epsilon=args.epsilon, max_iters=args.max_iters)
     return pi, similarity, config
 
 
@@ -157,10 +155,7 @@ def _diagnostics_entries(recorded, pi, similarity, config, args, burn_in):
     ``record_copies=True`` run with ``config``.
     """
     record, state = recorded
-    tight = SolverConfig(divergence=config.divergence, alpha=config.alpha,
-                         lam=config.lam, epsilon=1e-14,
-                         max_iters=config.max_iters, threads=config.threads)
-    _, state_star = solver.run(pi, similarity, tight)
+    _, state_star = solver.run(pi, similarity, dataclasses.replace(config, epsilon=1e-14))
 
     rate = diag.qlinear_ratios(state.copy_history, (state_star.y_left, state_star.y_right),
                                burn_in=burn_in)

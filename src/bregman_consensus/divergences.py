@@ -89,16 +89,19 @@ class _Rule:
     curvature: Optional[float] = None  # phi'' = curvature / p, where defined
 
 
+# the squared loss and the squared Euclidean distance share one generator
+_SQUARED = _Rule(
+    lower=None,
+    upper=None,
+    phi_terms=lambda p: p * p,
+    grad=lambda p: 2.0 * p,
+    grad_inv=lambda g: 0.5 * g,
+    hess_diag=lambda p: np.full_like(p, 2.0),
+    grad_sup=None,
+)
+
 _RULES = {
-    DivergenceKind.SQUARED_LOSS: _Rule(
-        lower=None,
-        upper=None,
-        phi_terms=lambda p: p * p,
-        grad=lambda p: 2.0 * p,
-        grad_inv=lambda g: 0.5 * g,
-        hess_diag=lambda p: np.full_like(p, 2.0),
-        grad_sup=None,
-    ),
+    DivergenceKind.SQUARED_LOSS: _SQUARED,
     DivergenceKind.LOGISTIC_LOSS: _Rule(
         lower=0.0,
         upper=1.0,
@@ -126,15 +129,7 @@ _RULES = {
         hess_diag=lambda p: 1.0 / (p * p),
         grad_sup=0.0,
     ),
-    DivergenceKind.SQUARED_EUCLIDEAN: _Rule(
-        lower=None,
-        upper=None,
-        phi_terms=lambda p: p * p,
-        grad=lambda p: 2.0 * p,
-        grad_inv=lambda g: 0.5 * g,
-        hess_diag=lambda p: np.full_like(p, 2.0),
-        grad_sup=None,
-    ),
+    DivergenceKind.SQUARED_EUCLIDEAN: _SQUARED,
     DivergenceKind.KL: _Rule(
         lower=0.0,
         upper=None,

@@ -61,7 +61,7 @@ class SimilarityMatrix:
                 raise ShapeError("triplets must satisfy i < j (no diagonal)")
             if np.any(vals <= 0.0) or np.any(vals > 1.0):
                 raise RangeError("similarity values must lie in (0, 1]")
-        order = np.lexsort((cols, rows))
+        order = np.argsort(_pair_key(rows, cols, self.n), kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
         same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
         if np.any(same):
@@ -143,18 +143,17 @@ class SimilarityMatrix:
 class SimilarityOperator:
     """Symmetrized CSR view of a :class:`SimilarityMatrix`, fixed ascending order.
 
-    ``row_sum[i]`` is ``sum_j s_ij``; :meth:`weighted_sum` and :meth:`matvec`
-    give the products ``S @ Y`` the solver, the objective and the diagnostics
-    share.
+    ``row_sum[i]`` is ``sum_j s_ij``; :meth:`matvec` gives the product
+    ``S @ Y`` the solver, the objective and the diagnostics share.
     """
 
     def __init__(self, similarity: SimilarityMatrix):
         self.n = similarity.n
         i2 = np.concatenate([similarity.rows, similarity.cols])
         j2 = np.concatenate([similarity.cols, similarity.rows])
-        v2 = np.concatenate([similarity.vals, similarity.vals])
-        order = np.lexsort((j2, i2))
-        self.indices, self.data = j2[order], v2[order]
+        order = np.argsort(_pair_key(i2, j2, self.n), kind="stable")
+        self.indices = j2[order]
+        self.data = np.concatenate([similarity.vals, similarity.vals])[order]
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.add.at(self.indptr, i2 + 1, 1)
         np.cumsum(self.indptr, out=self.indptr)
@@ -162,40 +161,39 @@ class SimilarityOperator:
         for arr in (self.indptr, self.indices, self.data, self.row_sum):
             arr.setflags(write=False)
 
-    def weighted_sum(self, Y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Per-row sums sum_j s_rj * Y[j] for rows lo..hi-1.
+    def matvec(self, Y: np.ndarray) -> np.ndarray:
+        """``S @ Y`` for an (n, m) array, one column at a time.
 
-        Each row reduces its own contiguous slice sequentially, so the result
-        is bitwise independent of how rows are chunked across workers.  Empty
-        rows contribute zero; reduceat sees only nonempty rows' offsets, whose
-        consecutive gaps are exactly the nonempty rows' slices.
+        Each row reduces its own contiguous slice in ascending column order.
+        Empty rows contribute zero; reduceat sees only nonempty rows'
+        offsets, whose consecutive gaps are exactly the nonempty rows' slices.
         """
-        start, end = self.indptr[lo], self.indptr[hi]
-        out = np.zeros((hi - lo, Y.shape[1]))
-        if start == end:
-            return out
-        prod = self.data[start:end, None] * Y[self.indices[start:end]]
-        counts = np.diff(self.indptr[lo : hi + 1])
-        nonempty = np.flatnonzero(counts > 0)
-        offsets = np.asarray(self.indptr[lo:hi] - start)[nonempty]
-        out[nonempty] = np.add.reduceat(prod, offsets, axis=0)
+        out = np.zeros((self.n, Y.shape[1]))
+        nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
+        offsets = self.indptr[nonempty]
+        for c in range(Y.shape[1]):
+            out[nonempty, c] = np.add.reduceat(self.data * Y[:, c][self.indices], offsets)
         return out
 
-    def matvec(self, Y: np.ndarray) -> np.ndarray:
-        """``S @ Y`` for an (n, m) array, row by row as in :meth:`weighted_sum`."""
-        return self.weighted_sum(Y, 0, self.n)
+
+def _pair_key(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """One integer per (row, col) pair of indices below ``n``, ordered row-major."""
+    key = rows * n
+    key += cols  # in place: the key arrays are as long as the similarity
+    return key
 
 
 def _first_repeat(lo: np.ndarray, hi: np.ndarray):
     """Position of the first pair equal to an earlier one, or None.
 
-    Each pair maps to one integer key; a stable sort of the keys puts every
-    repeat after the earlier occurrences of its pair.
+    The indices are not yet range-checked, so ``hi`` is shifted to start at
+    0 before keying; a stable sort of the keys puts every repeat after the
+    earlier occurrences of its pair.
     """
     if lo.size < 2:
         return None
     offset = hi - hi.min()
-    key = lo * (int(offset.max()) + 1) + offset
+    key = _pair_key(lo, offset, int(offset.max()) + 1)
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]

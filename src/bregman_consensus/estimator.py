@@ -58,8 +58,8 @@ class BregmanConsensus:
     domain_floor : float, default 1e-12
         Clamping epsilon applied to log-domain inputs.
     threads : int, default 1
-        Worker count for the per-instance update sweeps; results are
-        identical for any value.
+        Accepted for compatibility and ignored; the solve runs in one
+        thread.
 
     Attributes
     ----------

@@ -34,14 +34,15 @@ the solver, the objective and the diagnostics.
 
 Within a half-step the per-instance updates are mutually independent (right
 updates read only left copies and ``pi``; left updates read only right
-copies), so sweeps write into fresh buffers that are swapped at a barrier,
-and every inner summation runs in fixed ascending-index order.  Results are
-therefore identical for any worker count.
+copies), so each sweep is one vectorised pass over all instances built on a
+single product with the similarity.  Every inner summation runs in fixed
+ascending-index order, so results are reproducible bit for bit.  The solve
+runs in one thread; ``SolverConfig.threads`` is accepted for compatibility
+and ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,7 +62,8 @@ class SolverConfig:
     ``alpha`` weights the cluster-ensemble term, ``lam`` is the global
     left/right coupling penalty (one value shared by every instance), and
     convergence fires when the relative objective change drops below
-    ``epsilon``.
+    ``epsilon``.  ``threads`` is accepted for compatibility and ignored; the
+    solve runs in one thread.
     """
 
     divergence: DivergenceSpec
@@ -105,41 +107,29 @@ class Labeling:
     converged: bool
 
 
-def _chunks(n: int, threads: int):
-    bounds = np.linspace(0, n, num=min(threads, n) + 1, dtype=np.int64)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def _right_sweep(op, pi, y_left, alpha, lam):
+    """All right copies at once: weighted means of pi, neighbours and own left copy."""
+    denom = (1.0 + alpha * op.row_sum + lam)[:, None]
+    return (pi + alpha * op.matvec(y_left) + lam * y_left) / denom
 
 
-def _right_block(op, pi, y_left, alpha, lam, out, lo, hi):
-    nbr = op.weighted_sum(y_left, lo, hi)
-    gamma = alpha * op.row_sum[lo:hi]
-    denom = (1.0 + gamma + lam)[:, None]
-    out[lo:hi] = (pi[lo:hi] + alpha * nbr + lam * y_left[lo:hi]) / denom
+def _left_sweep(grad_right, op, spec, y_left, alpha, lam):
+    """All left copies at once, plus ``S grad phi(yr)`` for the objective.
 
-
-def _left_block(grad_right, op, spec, y_left, alpha, lam, out, nbr_out, lo, hi):
-    nbr = nbr_out[lo:hi] = op.weighted_sum(grad_right, lo, hi)
-    gamma = alpha * op.row_sum[lo:hi]
-    denom = gamma + lam
+    Rows whose weights ``alpha * r_i + lam`` vanish keep their old copy.
+    """
+    nbr = op.matvec(grad_right)
+    denom = alpha * op.row_sum + lam
     active = denom > 0.0
     dual = np.where(
         active[:, None],
-        (alpha * nbr + lam * grad_right[lo:hi]) / np.where(active, denom, 1.0)[:, None],
-        grad_right[lo:hi],  # placeholder; inactive rows keep their old copy below
+        (alpha * nbr + lam * grad_right) / np.where(active, denom, 1.0)[:, None],
+        grad_right,  # placeholder; inactive rows keep their old copy below
     )
     updated = spec.grad_inv(dual)
     if spec.simplex_domain:
         updated = updated / updated.sum(axis=1, keepdims=True)
-    out[lo:hi] = np.where(active[:, None], updated, y_left[lo:hi])
-
-
-def _sweep(block_fn, n, threads, executor):
-    if executor is None or threads <= 1:
-        block_fn(0, n)
-        return
-    futures = [executor.submit(block_fn, lo, hi) for lo, hi in _chunks(n, threads)]
-    for f in futures:
-        f.result()  # barrier; also re-raises worker errors
+    return np.where(active[:, None], updated, y_left), nbr
 
 
 def _objective(y_left, y_right, pi, similarity, config, lam=None,
@@ -186,11 +176,12 @@ def objective_j(state: SolverState, pi, similarity, config) -> float:
 
 
 def update_right(j: int, state: SolverState, pi, similarity, config) -> np.ndarray:
-    """Closed-form minimizer for instance ``j``'s right copy, left copies fixed."""
-    out = np.empty_like(state.y_right)
-    _right_block(similarity.operator, np.asarray(pi, dtype=np.float64), state.y_left,
-                 config.alpha, config.lam, out, j, j + 1)
-    return out[j]
+    """Closed-form minimizer for instance ``j``'s right copy, left copies fixed.
+
+    This is row ``j`` of a full right sweep, so one call costs a whole sweep.
+    """
+    return _right_sweep(similarity.operator, np.asarray(pi, dtype=np.float64), state.y_left,
+                        config.alpha, config.lam)[j]
 
 
 def update_left(i: int, state: SolverState, similarity, config) -> np.ndarray:
@@ -199,13 +190,12 @@ def update_left(i: int, state: SolverState, similarity, config) -> np.ndarray:
     The minimization runs in the dual space: the gradient of the new left
     copy is the weighted mean of the right copies' gradients, with weights
     ``alpha * s_ij`` and ``lam``.  When both weights vanish the subproblem is
-    vacuous and the old copy is returned unchanged.
+    vacuous and the old copy is returned unchanged.  This is row ``i`` of a
+    full left sweep, so one call costs a whole sweep.
     """
-    out = np.empty_like(state.y_left)
-    nbr = np.empty_like(state.y_left)
-    _left_block(config.divergence.grad(state.y_right), similarity.operator, config.divergence,
-                state.y_left, config.alpha, config.lam, out, nbr, i, i + 1)
-    return out[i]
+    y_left, _ = _left_sweep(config.divergence.grad(state.y_right), similarity.operator,
+                            config.divergence, state.y_left, config.alpha, config.lam)
+    return y_left[i]
 
 
 def _finalize(y_left, y_right, spec):
@@ -258,39 +248,21 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     trace = [_objective(y_left, y_right, pi, similarity, config)]
     history = [(y_left.copy(), y_right.copy())] if record_copies else None
 
-    executor = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
     converged = False
     iteration = 0
-    try:
-        for iteration in range(1, config.max_iters + 1):
-            new_right = np.empty_like(y_right)
-            _sweep(
-                lambda lo, hi: _right_block(op, pi, y_left, config.alpha,
-                                            config.lam, new_right, lo, hi),
-                n, config.threads, executor)
-            y_right = new_right
-
-            grad_right = spec.grad(y_right)
-            new_left = np.empty_like(y_left)
-            nbr_grad = np.empty_like(y_left)  # S grad phi(yr), reused by the objective
-            _sweep(
-                lambda lo, hi: _left_block(grad_right, op, spec, y_left, config.alpha,
-                                           config.lam, new_left, nbr_grad, lo, hi),
-                n, config.threads, executor)
-            y_left = new_left
-
-            value = _objective(y_left, y_right, pi, similarity, config,
-                               grad_right=grad_right, nbr_grad=nbr_grad)
-            trace.append(value)
-            if history is not None:
-                history.append((y_left.copy(), y_right.copy()))
-            previous = trace[-2]
-            if abs(value - previous) / max(previous, _TRACE_GUARD) < config.epsilon:
-                converged = True
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for iteration in range(1, config.max_iters + 1):
+        y_right = _right_sweep(op, pi, y_left, config.alpha, config.lam)
+        grad_right = spec.grad(y_right)
+        y_left, nbr_grad = _left_sweep(grad_right, op, spec, y_left, config.alpha, config.lam)
+        value = _objective(y_left, y_right, pi, similarity, config,
+                           grad_right=grad_right, nbr_grad=nbr_grad)
+        trace.append(value)
+        if history is not None:
+            history.append((y_left.copy(), y_right.copy()))
+        previous = trace[-2]
+        if abs(value - previous) / max(previous, _TRACE_GUARD) < config.epsilon:
+            converged = True
+            break
 
     probs, labels = _finalize(y_left, y_right, spec)
     labeling = Labeling(probabilities=probs, labels=labels,

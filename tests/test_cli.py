@@ -110,6 +110,14 @@ class TestRun:
         assert ((tmp_path / "labels_t1.csv").read_bytes()
                 == (tmp_path / "labels_t4.csv").read_bytes())
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    def test_seed_is_rejected(self, command, tmp_path):
+        # only generate draws random numbers; run and diagnose take no seed
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--pi", str(tmp_path / "pi.csv"),
+                  "--partitions", str(tmp_path / "parts.csv"), "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_similarity_triplet_input(self, tmp_path, rng):
         pi = random_pi("gen-i", rng, 8, 2)
         save_matrix_csv(tmp_path / "pi.csv", pi)

@@ -45,13 +45,10 @@ class TestGraphWeightedSums:
     def _check(self, similarity, rng):
         graph = similarity.operator
         dense = similarity.to_dense()
-        Y = rng.normal(size=(similarity.n, 3))
         np.testing.assert_allclose(graph.row_sum, dense.sum(axis=1), atol=1e-12)
-        full = graph.weighted_sum(Y, 0, similarity.n)
-        np.testing.assert_allclose(full, dense @ Y, atol=1e-12)
-        for lo, hi in [(0, 2), (1, similarity.n), (2, 3)]:
-            np.testing.assert_allclose(graph.weighted_sum(Y, lo, hi),
-                                       (dense @ Y)[lo:hi], atol=1e-12)
+        for k in (1, 3):
+            Y = rng.normal(size=(similarity.n, k))
+            np.testing.assert_allclose(graph.matvec(Y), dense @ Y, atol=1e-12)
 
     def test_trailing_empty_rows(self, rng):
         # rows past the last stored pair have no entries; their presence must
@@ -67,6 +64,9 @@ class TestGraphWeightedSums:
     def test_random_sparsity(self, rng):
         for density in (0.1, 0.4, 0.9):
             self._check(random_similarity(rng, 11, density=density), rng)
+
+    def test_empty_similarity(self, rng):
+        self._check(SimilarityMatrix.empty(5), rng)
 
 
 class TestObjectives:
