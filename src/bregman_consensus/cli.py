@@ -12,9 +12,9 @@ Three subcommands:
   the convergence-theory report (rate ratios, descent monitors, Hessian
   positive-definiteness where closed forms exist).
 
-Exit codes: 0 success, 2 input error, 3 hit the iteration cap before the
-tolerance fired (outputs are still written), 4 Hessian-only diagnosis asked
-for a divergence without closed-form blocks.
+Exit codes: 0 success, 2 input error or non-finite objective, 3 hit the
+iteration cap before the tolerance fired (outputs are still written), 4
+Hessian-only diagnosis asked for a divergence without closed-form blocks.
 """
 
 from __future__ import annotations
@@ -122,25 +122,10 @@ def _load_problem(args):
 
 
 def _write_labels(path, labeling):
-    n, k = labeling.probabilities.shape
-    header = "index,label," + ",".join(f"p{i + 1}" for i in range(k))
-    body = np.column_stack([
-        np.arange(n, dtype=np.float64),
-        labeling.labels.astype(np.float64),
-        labeling.probabilities,
-    ])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in body:
-            fields = [str(int(row[0])), str(int(row[1]))]
-            fields += [repr(float(v)) for v in row[2:]]
-            fh.write(",".join(fields) + "\n")
-
-
-def _write_trace(path, trace):
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, value in enumerate(trace):
-            fh.write(f"{t},{value!r}\n")
+    header = "index,label," + ",".join(f"p{i + 1}" for i in range(labeling.probabilities.shape[1]))
+    rows = ([i, label, *p] for i, (label, p) in enumerate(
+        zip(labeling.labels.tolist(), labeling.probabilities.tolist())))
+    save_matrix_csv(path, rows, header=header)
 
 
 def _summary_line(labeling, trace):
@@ -148,11 +133,12 @@ def _summary_line(labeling, trace):
             f"iters={labeling.iterations_used} J={trace[-1]!r}")
 
 
-def _diagnostics_entries(recorded, pi, similarity, config, args, burn_in):
+def _diagnostics_entries(recorded, pi, similarity, config, hessian_only, burn_in):
     """Report entries and trace rows from a recorded run plus a tight reference run.
 
     ``recorded`` is the ``(labeling, state)`` of a finished
-    ``record_copies=True`` run with ``config``.
+    ``record_copies=True`` run with ``config``.  With ``hessian_only``,
+    skipped Hessian checks raise instead of being reported.
     """
     record, state = recorded
     _, state_star = solver.run(pi, similarity, dataclasses.replace(config, epsilon=1e-14))
@@ -192,7 +178,7 @@ def _diagnostics_entries(recorded, pi, similarity, config, args, burn_in):
         ]
     else:
         reason = "unsupported" if not supported else "size"
-        if args is not None and getattr(args, "hessian_only", False):
+        if hessian_only:
             raise UnsupportedDivergenceError(
                 f"hessian checks skipped ({reason}) for {config.divergence.kind.value}")
         entries.append(("hessian", f"skipped={reason}"))
@@ -213,9 +199,9 @@ def _cmd_run(args) -> int:
     labeling, state = solver.run(pi, similarity, config, record_copies=recording)
     _write_labels(args.labels_out, labeling)
     if args.trace_out:
-        _write_trace(args.trace_out, state.objective_trace)
+        save_matrix_csv(args.trace_out, enumerate(state.objective_trace))
     if recording:
-        entries, _ = _diagnostics_entries((labeling, state), pi, similarity, config, None,
+        entries, _ = _diagnostics_entries((labeling, state), pi, similarity, config, False,
                                           burn_in=5)
         with open(args.diagnostics_out, "w", encoding="utf-8") as fh:
             fh.write(diag.render_report(entries))
@@ -245,8 +231,8 @@ def _cmd_generate(args) -> int:
 def _cmd_diagnose(args) -> int:
     pi, similarity, config = _load_problem(args)
     record, state = solver.run(pi, similarity, config, record_copies=True)
-    entries, trace_rows = _diagnostics_entries((record, state), pi, similarity, config, args,
-                                               burn_in=args.burn_in)
+    entries, trace_rows = _diagnostics_entries((record, state), pi, similarity, config,
+                                               args.hessian_only, burn_in=args.burn_in)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(diag.render_report(entries))
     if args.trace_out:

@@ -180,20 +180,17 @@ class RateReport:
         return [r for r, t in zip(self.ratios, self.indices) if t >= burn_in]
 
 
-def _flatten_copies(entry) -> np.ndarray:
-    if isinstance(entry, SolverState):
-        yl, yr = entry.y_left, entry.y_right
-    else:
-        yl, yr = entry
+def _flatten_copies(copies) -> np.ndarray:
+    yl, yr = copies
     return np.concatenate([np.asarray(yl).ravel(), np.asarray(yr).ravel()])
 
 
 def qlinear_ratios(snapshots, z_star, burn_in: int = 5) -> RateReport:
     """Per-iteration contraction ratios of the copy trajectory.
 
-    ``snapshots`` is a sequence of per-iteration copies (SolverState objects
-    or (y_left, y_right) pairs); ``z_star`` the converged copies from a run
-    at tight tolerance.  Distances below ``1e-12 * max(1, ||z*||)`` are
+    ``snapshots`` is a sequence of per-iteration ``(y_left, y_right)`` pairs,
+    such as a run's ``copy_history``; ``z_star`` the converged pair from a
+    run at tight tolerance.  Distances below ``1e-12 * max(1, ||z*||)`` are
     treated as already converged and produce no ratio.
     """
     if len(snapshots) < burn_in + 3:
@@ -239,19 +236,12 @@ class DeltaJMonitor:
 
     @classmethod
     def from_history(cls, reference_left, history, similarity, config) -> "DeltaJMonitor":
-        values = [delta_j(reference_left, _left_of(entry), similarity, config)
-                  for entry in history]
+        values = [delta_j(reference_left, y_left, similarity, config) for y_left, _ in history]
         return cls(reference_left=np.asarray(reference_left, dtype=np.float64), values=values)
 
     def is_monotone(self, slack: float = 1e-10) -> bool:
         v = self.values
         return all(v[t + 1] <= v[t] + slack for t in range(len(v) - 1))
-
-
-def _left_of(entry):
-    if isinstance(entry, SolverState):
-        return entry.y_left
-    return entry[0]
 
 
 def descent_violation(trace, relative_slack: float = 1e-12) -> float:

@@ -7,13 +7,13 @@ placing two instances in the same cluster).  Similarities are kept sparse:
 only the upper triangle (i < j) with strictly positive weight is stored,
 and the solver reads entries symmetrically with an absent (zero) diagonal.
 
-File formats handled here:
-
-* probability CSV - n rows by k columns of reals, optional header row
-  (detected by a non-numeric first token);
-* partition CSV - n rows by r2 integer columns, one column per clusterer;
-* similarity triplets - lines ``i,j,s`` with 0-based indices;
-* label file - one integer class index per line.
+Data files share one comma-separated grammar: blank and whitespace-only
+lines are skipped, the first nonblank line is a header when its first field
+is not a number, and every other line is a row of numbers, all rows the same
+width.  Probabilities are n-by-k reals; partitions n-by-r2 integers, one
+column per clusterer; similarity triplets ``i,j,s`` rows with 0-based
+indices, i != j, s in [0, 1] and each pair once; labels one integer per row.
+Every rejection is an :class:`InputFormatError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -276,122 +276,133 @@ def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix
 
 
 # -- file ingestion ---------------------------------------------------------
+# np.loadtxt parses the rows and each loader checks its own rules on the
+# array; the line of a rejected row is found by re-reading the file.
 
 
-def _is_number(token: str) -> bool:
+def _is_header(line: str) -> bool:
     try:
-        float(token)
-        return True
-    except ValueError:
+        float(line.split(",", 1)[0])
         return False
+    except ValueError:
+        return True
 
 
-def _read_rows(path):
+def _numbered_data_lines(path) -> list:
+    """``(line number, line)`` of every data line; read only to report an error."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield line_no, line.split(",")
+        lines = [(no, line) for no, line in enumerate(fh, start=1) if not line.isspace()]
+    return lines[1:] if lines and _is_header(lines[0][1]) else lines
+
+
+def _parse(lines) -> np.ndarray:
+    """Nonblank CSV lines as a 2-D float array; ``lines`` must not be empty."""
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
+def _reject_row(path, row: int, message: str):
+    line_no, line = _numbered_data_lines(path)[row]
+    raise InputFormatError(path, line_no, f"{message}: {line.strip()!r}")
+
+
+def _reject_rows(path, bad: np.ndarray, message: str):
+    if np.any(bad):
+        _reject_row(path, int(np.argmax(bad)), message)
+
+
+def _read_table(path) -> np.ndarray:
+    """The data rows of ``path`` as a (rows, width) float array, (0, 0) when there are none."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is not None and _is_header(first):
+            first = next(lines, None)
+        if first is None:
+            return np.empty((0, 0))  # np.loadtxt warns on empty input
+        try:
+            return _parse(itertools.chain([first], lines))
+        except ValueError:
+            pass
+    # locate the failure: the first line that does not parse next to the first one
+    lines = [line for _, line in _numbered_data_lines(path)]
+    for row, line in enumerate(lines):
+        try:
+            _parse([lines[0], line])
+        except ValueError:
+            _reject_row(path, row, "expected a row of numbers as wide as the first")
+    raise InputFormatError(path, 0, "file does not parse")
+
+
+def _integers(path, table: np.ndarray, what: str) -> np.ndarray:
+    """``table`` as int64, rejecting the first row that holds a non-integer value."""
+    with np.errstate(invalid="ignore"):  # nan, inf and out-of-range values cast to junk
+        ints = table.astype(np.int64)
+    _reject_rows(path, np.any(ints != table, axis=1), f"{what} must be integers")
+    return ints
 
 
 def load_prob_csv(path) -> np.ndarray:
-    """Read an n-by-k real-valued CSV; a non-numeric first token means a header."""
-    rows = []
-    width = None
-    for line_no, tokens in _read_rows(path):
-        if width is None and not _is_number(tokens[0]):
-            continue  # header row
-        try:
-            row = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise InputFormatError(path, line_no, f"non-numeric value ({exc})") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InputFormatError(path, line_no, f"expected {width} columns, got {len(row)}")
-        rows.append(row)
-    if not rows:
+    """Read an n-by-k real-valued CSV (optional header)."""
+    table = _read_table(path)
+    if not table.size:
         raise InputFormatError(path, 0, "file contains no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return table
 
 
 def load_partitions_csv(path) -> np.ndarray:
     """Read an n-by-r2 integer partition CSV (optional header)."""
-    values = load_prob_csv(path)
-    ints = values.astype(np.int64)
-    if np.any(ints != values):
-        raise InputFormatError(path, 0, "partition file must contain integers only")
-    return ints
+    return _integers(path, load_prob_csv(path), "partition labels")
 
 
 def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     """Read ``i,j,s`` triplet lines into a :class:`SimilarityMatrix`.
 
-    A pair listed twice, in either orientation, is rejected with the line of
-    its second occurrence.
+    Indices are integers in ``[0, n)`` with ``i != j`` and ``s`` lies in
+    ``[0, 1]``; a pair listed twice, in either orientation, is rejected at
+    its second line.
     """
-    ii, jj, ss = [], [], []
-    for line_no, tokens in _read_rows(path):
-        if not _is_number(tokens[0]):
-            continue
-        if len(tokens) != 3:
-            raise InputFormatError(path, line_no, f"expected 'i,j,s', got {len(tokens)} fields")
-        try:
-            i, j, s = int(tokens[0]), int(tokens[1]), float(tokens[2])
-        except ValueError as exc:
-            raise InputFormatError(path, line_no, f"bad triplet ({exc})") from None
-        if i == j:
-            raise InputFormatError(path, line_no, "diagonal entries are not allowed")
-        if not 0.0 <= s <= 1.0:
-            raise InputFormatError(path, line_no, f"similarity {s} outside [0, 1]")
-        ii.append(i)
-        jj.append(j)
-        ss.append(s)
-    if n is None:
-        n = (max(max(ii), max(jj)) + 1) if ii else 0
-    i, j = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
-    vals = np.array(ss, dtype=np.float64)
-    del ii, jj, ss  # the parsed lists outweigh the arrays; free them first
+    table = _read_table(path)
+    if not table.size:
+        return SimilarityMatrix.empty(n or 0)
+    if table.shape[1] != 3:
+        _reject_row(path, 0, f"expected 'i,j,s', got {table.shape[1]} fields")
+    ij = _integers(path, table[:, :2], "indices")
+    i, j, vals = ij[:, 0], ij[:, 1], table[:, 2]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
+    n = int(hi.max()) + 1 if n is None else n
+    _reject_rows(path, (lo < 0) | (hi >= n), f"index outside [0, {n})")
+    _reject_rows(path, i == j, "diagonal entries are not allowed")
+    _reject_rows(path, ~((vals >= 0.0) & (vals <= 1.0)), "similarity outside [0, 1]")
     second = _first_repeat(lo, hi)
     if second is not None:
-        data_lines = (no for no, tokens in _read_rows(path) if _is_number(tokens[0]))
-        line_no = next(itertools.islice(data_lines, second, None))
-        raise InputFormatError(path, line_no,
-                               f"pair ({lo[second]}, {hi[second]}) repeats an earlier line")
+        _reject_row(path, second, f"pair ({lo[second]}, {hi[second]}) repeats an earlier line")
     return SimilarityMatrix.from_pairs(n, i, j, vals)
 
 
 def load_labels(path) -> np.ndarray:
-    """Read one integer class label per line."""
-    labels = []
-    for line_no, tokens in _read_rows(path):
-        if not _is_number(tokens[0]):
-            continue
-        try:
-            labels.append(int(tokens[0]))
-        except ValueError as exc:
-            raise InputFormatError(path, line_no, f"bad label ({exc})") from None
-    return np.asarray(labels, dtype=np.int64)
+    """Read one integer class label per line (optional header)."""
+    table = _read_table(path)
+    if not table.size:
+        return np.zeros(0, dtype=np.int64)
+    if table.shape[1] != 1:
+        _reject_row(path, 0, f"expected one label, got {table.shape[1]} fields")
+    return _integers(path, table, "labels")[:, 0]
 
 
-def save_matrix_csv(path, matrix, header: str | None = None):
-    """Write a 2-D array as CSV using shortest round-trip float formatting."""
-    matrix = np.asarray(matrix)
+def save_matrix_csv(path, rows, header: str | None = None):
+    """Write a 2-D array, or rows of Python numbers, as CSV of their ``repr``s."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(v.item()) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def save_labels_txt(path, labels):
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(labels, dtype=np.int64):
-            fh.write(f"{int(v)}\n")
+    save_matrix_csv(path, np.asarray(labels, dtype=np.int64)[:, None])
 
 
 def save_similarity_triplets(path, similarity: SimilarityMatrix):
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, s in zip(similarity.rows, similarity.cols, similarity.vals):
-            fh.write(f"{int(i)},{int(j)},{float(s)!r}\n")
+    save_matrix_csv(path, zip(similarity.rows.tolist(), similarity.cols.tolist(),
+                              similarity.vals.tolist()))

@@ -48,3 +48,7 @@ class InputFormatError(BregmanConsensusError, ValueError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
+
+
+class NonFiniteObjectiveError(BregmanConsensusError, ArithmeticError):
+    """The solver's objective turned non-finite; the message names the iteration."""

@@ -50,7 +50,7 @@ import numpy as np
 
 from .divergences import DivergenceSpec, validate_probabilities
 from .ensemble_inputs import SimilarityMatrix
-from .exceptions import ArgumentError, DivisionDegenerateError, ShapeError
+from .exceptions import ArgumentError, DivisionDegenerateError, NonFiniteObjectiveError, ShapeError
 
 _TRACE_GUARD = 1e-300  # denominator guard for the relative objective test
 
@@ -74,12 +74,12 @@ class SolverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ArgumentError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.lam < 0:
-            raise ArgumentError(f"lam must be nonnegative, got {self.lam}")
-        if self.epsilon <= 0:
-            raise ArgumentError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 <= self.alpha < np.inf:
+            raise ArgumentError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if not 0 <= self.lam < np.inf:
+            raise ArgumentError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not 0 < self.epsilon < np.inf:
+            raise ArgumentError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ArgumentError(f"max_iters must be positive, got {self.max_iters}")
         if self.threads < 1:
@@ -211,6 +211,12 @@ def _finalize(y_left, y_right, spec):
     return probs, labels
 
 
+def _finite(iteration: int, value: float) -> float:
+    if not np.isfinite(value):
+        raise NonFiniteObjectiveError(f"objective is {value!r} at iteration {iteration}")
+    return value
+
+
 def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
         record_copies: bool = False):
     """Run the alternating solve to convergence.
@@ -220,6 +226,8 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     objective to the trace; the loop stops when the relative objective change
     falls below ``config.epsilon`` or after ``config.max_iters`` iterations.
     The final vectors are the averages of the two copies, normalized per row.
+    A non-finite objective raises ``NonFiniteObjectiveError`` naming the
+    iteration (0 for the starting copies).
 
     Parameters
     ----------
@@ -245,7 +253,7 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     op = similarity.operator
     y_left = np.full((n, k), 1.0 / k)
     y_right = np.full((n, k), 1.0 / k)
-    trace = [_objective(y_left, y_right, pi, similarity, config)]
+    trace = [_finite(0, _objective(y_left, y_right, pi, similarity, config))]
     history = [(y_left.copy(), y_right.copy())] if record_copies else None
 
     converged = False
@@ -254,8 +262,8 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
         y_right = _right_sweep(op, pi, y_left, config.alpha, config.lam)
         grad_right = spec.grad(y_right)
         y_left, nbr_grad = _left_sweep(grad_right, op, spec, y_left, config.alpha, config.lam)
-        value = _objective(y_left, y_right, pi, similarity, config,
-                           grad_right=grad_right, nbr_grad=nbr_grad)
+        value = _finite(iteration, _objective(y_left, y_right, pi, similarity, config,
+                                              grad_right=grad_right, nbr_grad=nbr_grad))
         trace.append(value)
         if history is not None:
             history.append((y_left.copy(), y_right.copy()))

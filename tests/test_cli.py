@@ -220,3 +220,17 @@ def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypa
     entries, _ = cli._diagnostics_entries(recorded, pi_arr, similarity, config, None, burn_in=5)
     assert report.read_bytes() == diag.render_report(entries).encode("utf-8")
 
+
+
+@pytest.mark.parametrize("alpha, message", [("1e308", "iteration 1"), ("nan", "alpha"),
+                                            ("inf", "alpha")])
+def test_non_finite_alpha_or_objective_exits_2(tmp_path, capsys, alpha, message):
+    (tmp_path / "pi.csv").write_text("0.3,0.7\n0.6,0.4\n0.5,0.5\n")
+    (tmp_path / "sim.txt").write_text("0,1,0.5\n1,2,0.9\n")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        code = main(["run", "--pi", str(tmp_path / "pi.csv"),
+                     "--similarity", str(tmp_path / "sim.txt"),
+                     "--divergence", "itakura-saito", "--alpha", alpha,
+                     "--labels-out", str(tmp_path / "labels.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -1,7 +1,12 @@
 """Averaging, co-association, sparsification, and file round-trips."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import (
@@ -238,3 +243,166 @@ class TestFileFormats:
         path = tmp_path / "truth.csv"
         path.write_text("1\n0\n1\n")
         np.testing.assert_array_equal(load_labels(path), [1, 0, 1])
+
+
+# -- the one file grammar ------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# blank and whitespace-only lines the reader must skip
+blanks = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
+
+
+def _interleave(text, data, header):
+    """``text``'s lines with blank lines drawn in between and an optional header first."""
+    lines = text.splitlines()
+    if header:
+        lines.insert(0, header)
+    out = []
+    for line in lines:
+        out += data.draw(blanks) + [line]
+    return "\n".join(out + data.draw(blanks)) + "\n"
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 4),
+       header=st.sampled_from([None, "a", "p1,p2", "#x, y"]))
+def test_matrix_roundtrip_is_bitwise(data, rows, cols, header):
+    m = np.array(data.draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=np.float64).reshape(rows, cols)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.csv")
+        save_matrix_csv(path, m)
+        with open(path, encoding="utf-8") as fh:
+            text = _interleave(fh.read(), data, header)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert _same_bits(load_prob_csv(path), m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 9), header=st.sampled_from([None, "i,j,s"]))
+def test_triplet_roundtrip_is_bitwise(data, n, header):
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=iu.size, max_size=iu.size)))
+    vals = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                              min_size=int(keep.sum()), max_size=int(keep.sum())))
+    s = SimilarityMatrix(n, iu[keep], ju[keep], np.array(vals, dtype=np.float64))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "sim.csv")
+        save_similarity_triplets(path, s)
+        with open(path, encoding="utf-8") as fh:
+            text = _interleave(fh.read(), data, header)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        back = load_similarity_triplets(path, n=n)
+    assert back.n == n
+    for a, b in ((back.rows, s.rows), (back.cols, s.cols), (back.vals, s.vals)):
+        assert _same_bits(a, b)
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return path
+
+
+# Each file has a header on line 1 and a blank line 3; line 4 gets corrupted.
+GOOD = {
+    load_prob_csv: "p1,p2\n0.25,0.75\n\n0.5,0.5\n0.875,0.125\n",
+    load_partitions_csv: "c1,c2\n0,1\n\n1,1\n2,0\n",
+    load_similarity_triplets: "i,j,s\n0,1,0.5\n\n1,2,0.25\n0,2,1.0\n",
+    load_labels: "label\n1\n\n0\n1\n",
+}
+CORRUPT = {
+    "non-numeric": lambda fields: fields[:-1] + ["oops"],
+    "missing": lambda fields: fields[:-1],
+    "extra": lambda fields: fields + ["0"],
+    "empty": lambda fields: fields[:-1] + [""],
+}
+
+
+@pytest.mark.parametrize("loader", list(GOOD), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", list(CORRUPT))
+def test_corrupted_line_is_reported_at_its_line(tmp_path, loader, kind):
+    lines = GOOD[loader].splitlines()
+    assert loader(_write(tmp_path, GOOD[loader])) is not None
+    corrupted = ",".join(CORRUPT[kind](lines[3].split(",")))
+    if not corrupted.strip():
+        corrupted = ","  # a one-field row cannot lose its field without turning blank
+    lines[3] = corrupted
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(InputFormatError) as err:
+        loader(path)
+    assert err.value.path == str(path)
+    assert err.value.line_no == 4
+    assert f"{path}:4:" in str(err.value)
+
+
+class TestGrammar:
+    def test_non_numeric_line_after_the_first_is_rejected_in_triplets(self, tmp_path):
+        path = _write(tmp_path, "0,1,0.5\nfoo,bar\n1,2,0.9\n")
+        with pytest.raises(InputFormatError) as err:
+            load_similarity_triplets(path)
+        assert err.value.line_no == 2
+
+    def test_non_numeric_line_after_the_first_is_rejected_in_labels(self, tmp_path):
+        path = _write(tmp_path, "1\nfoo\n0\n")
+        with pytest.raises(InputFormatError) as err:
+            load_labels(path)
+        assert err.value.line_no == 2
+
+    def test_second_header_line_is_rejected(self, tmp_path):
+        path = _write(tmp_path, "a,b\nc,d\n0.1,0.9\n")
+        with pytest.raises(InputFormatError) as err:
+            load_prob_csv(path)
+        assert err.value.line_no == 2
+
+    def test_non_integer_partition_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "0,1\n\n1,1\n1,2.5\n")
+        with pytest.raises(InputFormatError) as err:
+            load_partitions_csv(path)
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("0,1,0.5\n1,1,0.5\n", 2),  # diagonal
+        ("0,1,0.5\n1,2,nan\n", 2),  # similarity outside [0, 1]
+        ("s\n0,1.5,0.5\n", 2),  # non-integer index
+        ("0,1,0.5\n-1,2,0.5\n", 2),  # negative index
+        ("0,1\n", 1),  # wrong width
+    ])
+    def test_triplet_rules_name_the_line(self, tmp_path, text, line_no):
+        with pytest.raises(InputFormatError) as err:
+            load_similarity_triplets(_write(tmp_path, text))
+        assert err.value.line_no == line_no
+
+    def test_index_beyond_n_names_the_line(self, tmp_path):
+        path = _write(tmp_path, "0,1,0.5\n\n2,5,0.5\n")
+        with pytest.raises(InputFormatError) as err:
+            load_similarity_triplets(path, n=5)
+        assert err.value.line_no == 3
+
+    def test_labels_must_be_one_integer_per_row(self, tmp_path):
+        with pytest.raises(InputFormatError) as err:
+            load_labels(_write(tmp_path, "1,0.5\n0,0.5\n"))
+        assert err.value.line_no == 1
+        with pytest.raises(InputFormatError) as err:
+            load_labels(_write(tmp_path, "1\n0.5\n"))
+        assert err.value.line_no == 2
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        path = _write(tmp_path, "   \n0.25,0.75\n \t \n0.5,0.5\n\n")
+        np.testing.assert_array_equal(load_prob_csv(path), [[0.25, 0.75], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "i,j,s\n\n"])
+    def test_empty_or_header_only_files(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        assert load_similarity_triplets(path).nnz == 0
+        assert load_similarity_triplets(path, n=4).n == 4
+        assert load_labels(path).shape == (0,)
+        for loader in (load_prob_csv, load_partitions_csv):
+            with pytest.raises(InputFormatError, match="no data rows"):
+                loader(path)

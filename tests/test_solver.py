@@ -7,7 +7,7 @@ import pytest
 
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix
-from bregman_consensus.exceptions import ArgumentError, ShapeError
+from bregman_consensus.exceptions import ArgumentError, NonFiniteObjectiveError, ShapeError
 from bregman_consensus.solver import (
     Labeling,
     SolverConfig,
@@ -361,3 +361,22 @@ def test_minimize_j0_matches_fd_oracle(rng):
     b = fd_projected_gradient_j0(pi, s, cfg)
     np.testing.assert_allclose(a, b, atol=2e-5)
     assert objective_j0(a, pi, s, cfg) <= objective_j0(b, pi, s, cfg) + 1e-9
+
+
+class TestNonFinite:
+    """Hyperparameters must be finite, and a non-finite objective stops the run."""
+
+    @pytest.mark.parametrize("name", ["alpha", "lam", "epsilon"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_config_rejects_non_finite(self, name, bad):
+        with pytest.raises(ArgumentError, match=name):
+            SolverConfig(divergence=divergence_spec("gen-i", 2), **{name: bad})
+
+    def test_overflowing_objective_names_its_iteration(self):
+        # alpha=1e308 used to give the trace 0.215, inf, inf, 3.0e12, ... and converged=True
+        pi = np.array([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
+        s = SimilarityMatrix.from_pairs(3, [0, 1], [1, 2], [0.5, 0.9])
+        cfg = SolverConfig(divergence=divergence_spec("itakura-saito", 2), alpha=1e308)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(NonFiniteObjectiveError, match="at iteration 1$"):
+                run(pi, s, cfg)
