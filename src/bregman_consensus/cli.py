@@ -29,7 +29,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import solver
 from .datasets import synthetic_problem
-from .divergences import divergence_spec
+from .divergences import DivergenceKind, divergence_spec
 from .ensemble_inputs import (
     SimilarityMatrix,
     coassociation_similarity,
@@ -45,8 +45,7 @@ from .estimator import check_probabilities
 from .exceptions import BregmanConsensusError, UnsupportedDivergenceError
 from .solver import SolverConfig, lambda_threshold
 
-_DIVERGENCE_TOKENS = ("squared", "logistic", "bose-einstein", "itakura-saito",
-                      "euclidean", "kl", "gen-i")
+_DIVERGENCE_TOKENS = tuple(kind.value for kind in DivergenceKind)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
@@ -164,7 +163,7 @@ def _diagnostics_entries(recorded, pi, similarity, config, hessian_only, burn_in
     ]
 
     supported = config.divergence.supports_hessian
-    small = 2 * pi.shape[0] * pi.shape[1] <= 200
+    small = diag.hessian_fits(*pi.shape)
     if supported and small:
         blocks = diag.hessian_blocks(state, pi, similarity, config)
         pd, min_eig = diag.check_positive_definite(blocks)

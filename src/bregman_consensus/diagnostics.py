@@ -16,7 +16,7 @@ everywhere, including in the expected value of the quadratic form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,101 +26,86 @@ from .exceptions import InsufficientTraceError, ShapeError, UnsupportedDivergenc
 from .solver import SolverConfig, SolverState
 
 _HESSIAN_KINDS = (DivergenceKind.KL, DivergenceKind.GENERALIZED_I)
-_MAX_EIG_DIM = 200  # diagnostics are desk-scale verifiers, not production paths
+MAX_HESSIAN_DIM = 200  # diagnostics are desk-scale verifiers, not production paths
+
+
+def hessian_fits(n: int, k: int) -> bool:
+    """Whether the 2nk-by-2nk Hessian is within :data:`MAX_HESSIAN_DIM`."""
+    return 2 * n * k <= MAX_HESSIAN_DIM
 
 
 @dataclass
 class HessianBlocks:
-    """Nonzero blocks of the split objective's Hessian.
+    """The split objective's Hessian, dense and read-only.
 
-    Every block of the entropy-type Hessian is diagonal, so blocks are stored
-    as length-k diagonal vectors keyed by ``((side_a, i), (side_b, j))`` with
-    side ``"l"`` or ``"r"``.  Off-diagonal left-left and right-right blocks
-    are identically zero and never stored.  ``scale`` is the curvature
-    constant of the generating function (1 for natural log, 1/ln 2 for the
-    base-2 kind).
+    ``matrix`` is 2nk-by-2nk with the left copies first, each instance's k
+    coordinates contiguous.  Every k-by-k block of the entropy-type Hessian
+    is diagonal, and off-diagonal left-left and right-right blocks are zero.
+    ``scale`` is the curvature constant of the generating function (1 for
+    natural log, 1/ln 2 for the base-2 kind).
     """
 
     n: int
     k: int
     scale: float
-    diagonals: dict = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     def block(self, side_i: str, i: int, side_j: str, j: int) -> np.ndarray:
-        """Return the k-by-k block for the ordered copy pair; zero if absent."""
-        key = ((side_i, i), (side_j, j))
-        if key in self.diagonals:
-            return np.diag(self.diagonals[key])
-        mirror = ((side_j, j), (side_i, i))
-        if mirror in self.diagonals:
-            return np.diag(self.diagonals[mirror])
-        return np.zeros((self.k, self.k))
-
-    def _flat_index(self, side: str, i: int) -> slice:
-        base = 0 if side == "l" else self.n * self.k
-        return slice(base + i * self.k, base + (i + 1) * self.k)
+        """The k-by-k block for the ordered copy pair; side ``"l"`` or ``"r"``."""
+        def span(side, m):
+            start = (m if side == "l" else self.n + m) * self.k
+            return slice(start, start + self.k)
+        return self.matrix[span(side_i, i), span(side_j, j)]
 
     def assemble(self) -> np.ndarray:
         """Dense symmetric 2nk-by-2nk matrix, left copies first."""
-        dim = 2 * self.n * self.k
-        H = np.zeros((dim, dim))
-        idx = np.arange(self.k)
-        for ((side_i, i), (side_j, j)), diag in self.diagonals.items():
-            ri = self._flat_index(side_i, i)
-            cj = self._flat_index(side_j, j)
-            H[ri.start + idx, cj.start + idx] = diag
-            if (side_i, i) != (side_j, j):
-                H[cj.start + idx, ri.start + idx] = diag
-        return H
+        return self.matrix
 
 
 def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
                    config: SolverConfig) -> HessianBlocks:
-    """Closed-form Hessian blocks of the split objective at the given state.
+    """Closed-form Hessian of the split objective at the given state.
+
+    With c the curvature scale, and r and S the row sums and the dense form
+    of the similarity (read through its operator), the blocks are::
+
+        LL = diag(c (alpha r_i + lam) / yl_i)
+        RR = diag(c (pi_i + alpha (S yl)_i + lam yl_i) / yr_i^2)
+        LR = -(c alpha kron(S, I_k) + c lam I_nk) / yr, column by column
 
     Only the two entropy-type kinds have these closed forms; other kinds
-    raise :class:`UnsupportedDivergenceError`.
+    raise :class:`UnsupportedDivergenceError`.  A matrix wider than
+    :data:`MAX_HESSIAN_DIM` raises :class:`ShapeError` before anything is
+    allocated.
     """
     spec = config.divergence
     if spec.kind not in _HESSIAN_KINDS:
         raise UnsupportedDivergenceError(
             f"analytic Hessian blocks exist only for kl/gen-i, not {spec.kind.value}"
         )
-    pi = np.asarray(pi, dtype=np.float64)
     yl, yr = state.y_left, state.y_right
     n, k = yl.shape
+    if not hessian_fits(n, k):
+        raise ShapeError(f"Hessian dimension {2 * n * k} exceeds the desk-scale cap "
+                         f"{MAX_HESSIAN_DIM}")
+    pi = np.asarray(pi, dtype=np.float64)
     c = spec.curvature_scale
     alpha, lam = config.alpha, config.lam
     op = similarity.operator
-    nbr_left = op.matvec(yl)  # sum_i s_ij * yl_i
-
-    diagonals = {}
-    for i in range(n):
-        gamma = alpha * op.row_sum[i]
-        diagonals[(("l", i), ("l", i))] = c * (gamma + lam) / yl[i]
-        diagonals[(("r", i), ("r", i))] = (
-            c * (pi[i] + alpha * nbr_left[i] + lam * yl[i]) / (yr[i] ** 2)
-        )
-        if lam > 0.0:
-            diagonals[(("l", i), ("r", i))] = -c * lam / yr[i]
-    for i, j, s in zip(similarity.rows, similarity.cols, similarity.vals):
-        diagonals[(("l", int(i)), ("r", int(j)))] = diagonals.get(
-            (("l", int(i)), ("r", int(j))), np.zeros(k)
-        ) - c * alpha * s / yr[int(j)]
-        diagonals[(("l", int(j)), ("r", int(i)))] = diagonals.get(
-            (("l", int(j)), ("r", int(i))), np.zeros(k)
-        ) - c * alpha * s / yr[int(i)]
-    return HessianBlocks(n=n, k=k, scale=c, diagonals=diagonals)
+    left = c * (alpha * op.row_sum[:, None] + lam) / yl
+    right = c * (pi + alpha * op.matvec(yl) + lam * yl) / yr ** 2
+    # 0 - x: absent entries, and entries that underflow, stay +0.0
+    cross = 0.0 - c * alpha * np.kron(op.matvec(np.eye(n)), np.eye(k)) / yr.ravel()
+    if lam > 0.0:
+        np.fill_diagonal(cross, -c * lam / yr.ravel())  # kron(S, I) has a zero diagonal
+    H = np.block([[np.diag(left.ravel()), cross], [cross.T, np.diag(right.ravel())]])
+    H.setflags(write=False)
+    return HessianBlocks(n=n, k=k, scale=c, matrix=H)
 
 
 def check_positive_definite(blocks: HessianBlocks) -> Tuple[bool, float]:
     """Dense symmetric eigensolve; returns (is PD, smallest eigenvalue)."""
-    dim = 2 * blocks.n * blocks.k
-    if dim > _MAX_EIG_DIM:
-        raise ShapeError(f"assembled dimension {dim} exceeds the desk-scale cap {_MAX_EIG_DIM}")
-    H = blocks.assemble()
-    eigs = np.linalg.eigvalsh(H)
-    smallest = float(eigs[0])
+    smallest = float(np.linalg.eigvalsh(blocks.assemble())[0])
     return smallest > 0.0, smallest
 
 
@@ -135,31 +120,6 @@ def quadratic_form_identity(blocks: HessianBlocks, state: SolverState, pi):
     value = float(z @ H @ z)
     expected = blocks.scale * float(np.asarray(pi).sum())
     return value, expected, abs(value - expected)
-
-
-def grad_objective(state: SolverState, pi, similarity: SimilarityMatrix,
-                   config: SolverConfig) -> np.ndarray:
-    """Analytic gradient of the split objective, flattened (left block first).
-
-    Valid for any divergence kind; used to validate the analytic Hessian
-    against finite differences.
-    """
-    spec = config.divergence
-    pi = np.asarray(pi, dtype=np.float64)
-    yl, yr = state.y_left, state.y_right
-    op = similarity.operator
-    alpha, lam = config.alpha, config.lam
-
-    Gl, Gr = spec.grad(yl), spec.grad(yr)
-    Hr = spec.hess_diag(yr)
-    rs = op.row_sum[:, None]
-    nbr_gr = op.matvec(Gr)
-    nbr_yl = op.matvec(yl)
-
-    gl = alpha * (rs * Gl - nbr_gr) + lam * (Gl - Gr)
-    gr = Hr * ((1.0 + alpha * op.row_sum + lam)[:, None] * yr
-               - pi - alpha * nbr_yl - lam * yl)
-    return np.concatenate([gl.ravel(), gr.ravel()])
 
 
 @dataclass

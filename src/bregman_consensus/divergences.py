@@ -43,6 +43,7 @@ import numpy as np
 from .exceptions import DomainError, RangeError, ShapeError
 
 LN2 = math.log(2.0)
+SIMPLEX_ATOL = 1e-9  # how far a simplex point's coordinates may sum from 1
 
 
 class DivergenceKind(enum.Enum):
@@ -309,13 +310,13 @@ def validate_point(spec: DivergenceSpec, p) -> np.ndarray:
     """Check a single point against the spec's domain and dimension.
 
     For the simplex-domain kind the coordinates must additionally sum to one
-    within 1e-9.  Returns the clamped point.
+    within :data:`SIMPLEX_ATOL`.  Returns the clamped point.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (spec.dimension,):
         raise ShapeError(f"expected shape ({spec.dimension},), got {p.shape}")
     spec.check_domain(p)
-    if spec.simplex_domain and abs(float(p.sum()) - 1.0) > 1e-9:
+    if spec.simplex_domain and abs(float(p.sum()) - 1.0) > SIMPLEX_ATOL:
         raise DomainError(f"simplex point must sum to 1, got {p.sum()!r}")
     return spec.clamp(p)
 

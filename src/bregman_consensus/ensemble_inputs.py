@@ -7,12 +7,13 @@ placing two instances in the same cluster).  Similarities are kept sparse:
 only the upper triangle (i < j) with strictly positive weight is stored,
 and the solver reads entries symmetrically with an absent (zero) diagonal.
 
-Data files share one comma-separated grammar: blank and whitespace-only
-lines are skipped, the first nonblank line is a header when its first field
-is not a number, and every other line is a row of numbers, all rows the same
-width.  Probabilities are n-by-k reals; partitions n-by-r2 integers, one
-column per clusterer; similarity triplets ``i,j,s`` rows with 0-based
-indices, i != j, s in [0, 1] and each pair once; labels one integer per row.
+Data files share one comma-separated grammar: a leading UTF-8 byte-order
+mark is ignored, blank and whitespace-only lines are skipped, the first
+nonblank line is a header when its first field is not a number, and every
+other line is a row of numbers, all rows the same width.  Probabilities are
+n-by-k reals; partitions n-by-r2 integers, one column per clusterer;
+similarity triplets ``i,j,s`` rows with 0-based indices, i != j, s in [0, 1]
+and each pair once; labels one integer per row.
 Every rejection is an :class:`InputFormatError` naming the file and line.
 """
 
@@ -105,18 +106,6 @@ class SimilarityMatrix:
         vals = a[iu, ju]
         keep = vals != 0.0
         return cls(a.shape[0], iu[keep], ju[keep], vals[keep])
-
-    def get(self, i: int, j: int) -> float:
-        """Read entry (i, j); symmetric, 0 when absent or on the diagonal."""
-        if i == j:
-            return 0.0
-        lo, hi = (i, j) if i < j else (j, i)
-        pos = np.searchsorted(self.rows, lo)
-        while pos < self.nnz and self.rows[pos] == lo:
-            if self.cols[pos] == hi:
-                return float(self.vals[pos])
-            pos += 1
-        return 0.0
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -290,7 +279,7 @@ def _is_header(line: str) -> bool:
 
 def _numbered_data_lines(path) -> list:
     """``(line number, line)`` of every data line; read only to report an error."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [(no, line) for no, line in enumerate(fh, start=1) if not line.isspace()]
     return lines[1:] if lines and _is_header(lines[0][1]) else lines
 
@@ -312,7 +301,7 @@ def _reject_rows(path, bad: np.ndarray, message: str):
 
 def _read_table(path) -> np.ndarray:
     """The data rows of ``path`` as a (rows, width) float array, (0, 0) when there are none."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = (line for line in fh if not line.isspace())
         first = next(lines, None)
         if first is not None and _is_header(first):
@@ -376,7 +365,8 @@ def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     second = _first_repeat(lo, hi)
     if second is not None:
         _reject_row(path, second, f"pair ({lo[second]}, {hi[second]}) repeats an earlier line")
-    return SimilarityMatrix.from_pairs(n, i, j, vals)
+    keep = vals != 0.0  # zero weights are not stored
+    return SimilarityMatrix(n, lo[keep], hi[keep], vals[keep])
 
 
 def load_labels(path) -> np.ndarray:

@@ -48,9 +48,10 @@ from typing import Optional
 
 import numpy as np
 
-from .divergences import DivergenceSpec, validate_probabilities
+from .divergences import SIMPLEX_ATOL, DivergenceSpec, validate_probabilities
 from .ensemble_inputs import SimilarityMatrix
-from .exceptions import ArgumentError, DivisionDegenerateError, NonFiniteObjectiveError, ShapeError
+from .exceptions import (ArgumentError, DivisionDegenerateError, DomainError,
+                         NonFiniteObjectiveError, ShapeError)
 
 _TRACE_GUARD = 1e-300  # denominator guard for the relative objective test
 
@@ -152,7 +153,7 @@ def _objective(y_left, y_right, pi, similarity, config, lam=None,
         return phi_p - phi_r - np.sum((p - y_right) * grad_right, axis=-1)
 
     total = float(np.sum(to_right(spec.clamp(pi), spec.phi(pi))))
-    if config.alpha > 0.0 and similarity.nnz:
+    if config.alpha > 0.0:
         op = similarity.operator
         if nbr_grad is None:
             nbr_grad = op.matvec(grad_right)
@@ -232,7 +233,10 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     Parameters
     ----------
     pi : (n, k) array
-        Averaged classifier probabilities.
+        Averaged classifier probabilities.  For the simplex-domain kind
+        (``kl``) every row must sum to 1 within ``SIMPLEX_ATOL``, or
+        ``DomainError`` is raised; ``estimator.check_probabilities``
+        normalizes rows first.
     similarity : SimilarityMatrix
         Co-association weights over the same n instances.
     config : SolverConfig
@@ -245,7 +249,15 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     (Labeling, SolverState)
     """
     spec = config.divergence
-    pi = validate_probabilities(spec, pi)
+    raw = np.asarray(pi, dtype=np.float64)
+    pi = validate_probabilities(spec, raw)
+    if spec.simplex_domain:
+        sums = raw.sum(axis=1)  # before clamping, which moves exact rows off the simplex
+        off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
+        if off.size:
+            row = int(off[0])
+            raise DomainError(f"{spec.kind.value}: pi row {row} sums to {float(sums[row])!r}, "
+                              "not 1; normalize the rows first")
     n, k = pi.shape
     if similarity.n != n:
         raise ShapeError(f"similarity is over {similarity.n} instances, pi over {n}")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bregman_consensus.divergences import DivergenceKind, divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity
@@ -47,6 +48,27 @@ def random_similarity(rng, n, density=0.6):
     return SimilarityMatrix(n, iu[keep], ju[keep], vals[keep])
 
 
+LAYOUTS = ("random", "empty", "gaps", "uniform")
+
+
+def layout_similarity(layout, rng, n):
+    """Random pairs; none; pairs that skip the first, a middle and the last node.
+
+    ``"uniform"`` draws random pairs too; callers pair it with uniform points.
+    """
+    if layout == "empty" or n < 2:
+        return SimilarityMatrix.empty(n)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.uniform(size=iu.size) < rng.uniform(0.2, 1.0)
+    if layout == "gaps":
+        skipped = np.array([0, n // 2, n - 1])
+        keep &= ~np.isin(iu, skipped) & ~np.isin(ju, skipped)
+    return SimilarityMatrix(n, iu[keep], ju[keep], rng.uniform(0.05, 1.0, iu.size)[keep])
+
+
+weights = st.one_of(st.just(0.0), st.floats(0.0, 2.0))  # alpha and lambda, 0 included
+
+
 def random_instance(token, rng, n, k, alpha=None, lam=None, **kwargs):
     """A complete solver problem: (pi, similarity, config)."""
     pi = random_pi(token, rng, n, k)
@@ -83,6 +105,71 @@ def pairwise_objective(y_left, y_right, pi, similarity, config, lam=None):
     if lam > 0.0:
         total += lam * float(np.sum(spec.bregman(y_left, y_right)))
     return total
+
+
+def grad_objective(state, pi, similarity, config):
+    """Analytic gradient of the split objective, flattened (left block first).
+
+    Valid for any divergence kind; the Hessian is checked against finite
+    differences of it.
+    """
+    spec = config.divergence
+    pi = np.asarray(pi, dtype=np.float64)
+    yl, yr = state.y_left, state.y_right
+    op = similarity.operator
+    alpha, lam = config.alpha, config.lam
+
+    Gl, Gr = spec.grad(yl), spec.grad(yr)
+    Hr = spec.hess_diag(yr)
+    rs = op.row_sum[:, None]
+    nbr_gr = op.matvec(Gr)
+    nbr_yl = op.matvec(yl)
+
+    gl = alpha * (rs * Gl - nbr_gr) + lam * (Gl - Gr)
+    gr = Hr * ((1.0 + alpha * op.row_sum + lam)[:, None] * yr
+               - pi - alpha * nbr_yl - lam * yl)
+    return np.concatenate([gl.ravel(), gr.ravel()])
+
+
+def pairwise_hessian(state, pi, similarity, config):
+    """The kl/gen-i split-objective Hessian, assembled pair by pair.
+
+    The direct form ``diagnostics.hessian_blocks`` must reproduce: per-node
+    diagonal blocks, then every stored pair (i < j) coupling left i with
+    right j and left j with right i, scattered into a dense 2nk-by-2nk
+    matrix (left copies first).
+    """
+    spec = config.divergence
+    pi = np.asarray(pi, dtype=np.float64)
+    yl, yr = state.y_left, state.y_right
+    n, k = yl.shape
+    c = spec.curvature_scale
+    alpha, lam = config.alpha, config.lam
+    op = similarity.operator
+    nbr_left = op.matvec(yl)  # sum_i s_ij * yl_i
+
+    diagonals = {}
+    for i in range(n):
+        diagonals[(("l", i), ("l", i))] = c * (alpha * op.row_sum[i] + lam) / yl[i]
+        diagonals[(("r", i), ("r", i))] = (
+            c * (pi[i] + alpha * nbr_left[i] + lam * yl[i]) / (yr[i] ** 2)
+        )
+        if lam > 0.0:
+            diagonals[(("l", i), ("r", i))] = -c * lam / yr[i]
+    for i, j, s in zip(similarity.rows.tolist(), similarity.cols.tolist(),
+                       similarity.vals.tolist()):
+        for a, b in ((i, j), (j, i)):
+            key = (("l", a), ("r", b))
+            diagonals[key] = diagonals.get(key, np.zeros(k)) - c * alpha * s / yr[b]
+
+    H = np.zeros((2 * n * k, 2 * n * k))
+    idx = np.arange(k)
+    for ((side_a, a), (side_b, b)), diag in diagonals.items():
+        ra = (a if side_a == "l" else n + a) * k + idx
+        cb = (b if side_b == "l" else n + b) * k + idx
+        H[ra, cb] = diag
+        H[cb, ra] = diag
+    return H
 
 
 # -- independent derivative-free minimization of the two half-step objectives

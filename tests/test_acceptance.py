@@ -15,7 +15,6 @@ import pytest
 from bregman_consensus.datasets import synthetic_problem
 from bregman_consensus.diagnostics import (
     check_positive_definite,
-    grad_objective,
     hessian_blocks,
     qlinear_ratios,
     quadratic_form_identity,
@@ -37,6 +36,7 @@ from conftest import (
     eq_left_objective,
     eq_right_objective,
     fd_projected_gradient_j0,
+    grad_objective,
     interior_points,
     nelder_mead_minimize,
     random_instance,

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregman_consensus.diagnostics import (
+    MAX_HESSIAN_DIM,
     DeltaJMonitor,
     RateReport,
     check_positive_definite,
     delta_j,
     descent_violation,
-    grad_objective,
     hessian_blocks,
     qlinear_ratios,
     quadratic_form_identity,
@@ -17,10 +19,13 @@ from bregman_consensus.diagnostics import (
 )
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix
-from bregman_consensus.exceptions import InsufficientTraceError, UnsupportedDivergenceError
+from bregman_consensus.exceptions import (InsufficientTraceError, ShapeError,
+                                         UnsupportedDivergenceError)
 from bregman_consensus.solver import SolverConfig, SolverState, _objective, run
 
-from conftest import interior_points, random_instance, random_pi, random_similarity
+from conftest import (LAYOUTS, grad_objective, interior_points, layout_similarity,
+                      pairwise_hessian, random_instance, random_pi, random_similarity,
+                      weights)
 
 
 def _state(y_left, y_right):
@@ -105,6 +110,38 @@ class TestHessianBlocks:
             value, expected, residual = quadratic_form_identity(blocks, st, pi)
             assert residual <= 1e-8
             assert expected == pytest.approx(blocks.scale * pi.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.sampled_from(["kl", "gen-i"]), n=st.integers(1, 8), k=st.integers(2, 4),
+       layout=st.sampled_from(LAYOUTS), alpha=weights, lam=weights,
+       seed=st.integers(0, 2**32 - 1))
+def test_hessian_matches_pairwise_oracle_bitwise(token, n, k, layout, alpha, lam, seed):
+    rng = np.random.default_rng(seed)
+    similarity = layout_similarity(layout, rng, n)
+    if layout == "uniform":
+        pi = yl = yr = np.full((n, k), 1.0 / k)
+    else:
+        pi = random_pi(token, rng, n, k)
+        yl, yr = interior_points(token, rng, n, k), interior_points(token, rng, n, k)
+    config = SolverConfig(divergence=divergence_spec(token, k), alpha=alpha, lam=lam)
+    state = _state(yl, yr)
+    got = hessian_blocks(state, pi, similarity, config).assemble()
+    want = pairwise_hessian(state, pi, similarity, config)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+
+
+def test_hessian_over_the_cap_raises_shape_error(rng):
+    k = 2
+    n = MAX_HESSIAN_DIM // (2 * k) + 1
+    cfg = SolverConfig(divergence=divergence_spec("gen-i", k))
+    with pytest.raises(ShapeError, match="desk-scale cap"):
+        hessian_blocks(_interior_state("gen-i", rng, n, k), random_pi("gen-i", rng, n, k),
+                       random_similarity(rng, n), cfg)
+    blocks = hessian_blocks(_interior_state("gen-i", rng, n - 1, k),
+                            random_pi("gen-i", rng, n - 1, k), random_similarity(rng, n - 1), cfg)
+    assert blocks.assemble().shape == (2 * (n - 1) * k,) * 2
 
 
 class TestPositiveDefiniteness:

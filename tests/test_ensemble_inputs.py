@@ -74,18 +74,18 @@ class TestCoassociation:
     def test_full_agreement(self):
         parts = np.array([[0, 0], [0, 0], [1, 1]])
         s = coassociation_similarity(parts)
-        assert s.get(0, 1) == 1.0
+        assert s.to_dense()[0, 1] == 1.0
 
     def test_half_agreement(self):
         parts = np.array([[0, 0], [0, 1], [1, 1]])
         s = coassociation_similarity(parts)
-        assert s.get(0, 1) == 0.5
+        assert s.to_dense()[0, 1] == 0.5
 
     def test_never_cocluster_absent(self):
         parts = np.array([[0, 0], [1, 1]])
         s = coassociation_similarity(parts)
         assert s.nnz == 0
-        assert s.get(0, 1) == 0.0
+        assert s.to_dense()[0, 1] == 0.0
 
     def test_identical_partitions_give_zero_or_one(self, rng):
         col = rng.integers(0, 3, 12)
@@ -94,10 +94,10 @@ class TestCoassociation:
         assert set(np.unique(s.vals)) <= {1.0}
 
     def test_symmetry_of_reads(self, rng):
-        s = random_similarity(rng, 20)
+        dense = random_similarity(rng, 20).to_dense()
         for _ in range(1000):
             i, j = rng.integers(0, 20, 2)
-            assert s.get(i, j) == s.get(j, i)
+            assert dense[i, j] == dense[j, i]
 
     def test_values_in_unit_interval(self, rng):
         parts = rng.integers(0, 4, (15, 6))
@@ -406,3 +406,40 @@ class TestGrammar:
         for loader in (load_prob_csv, load_partitions_csv):
             with pytest.raises(InputFormatError, match="no data rows"):
                 loader(path)
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet tools write, is not a header."""
+
+    @staticmethod
+    def _write_bom(tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return path
+
+    def test_prob_csv_keeps_its_first_row(self, tmp_path):
+        path = self._write_bom(tmp_path, "0.25,0.75\n0.5,0.5\n")
+        np.testing.assert_array_equal(load_prob_csv(path), [[0.25, 0.75], [0.5, 0.5]])
+
+    def test_partitions_keep_their_first_row(self, tmp_path):
+        path = self._write_bom(tmp_path, "0,1\n1,0\n")
+        np.testing.assert_array_equal(load_partitions_csv(path), [[0, 1], [1, 0]])
+
+    def test_triplets_keep_their_first_pair(self, tmp_path):
+        s = load_similarity_triplets(self._write_bom(tmp_path, "0,1,0.5\n1,2,0.9\n"))
+        assert s.nnz == 2
+        np.testing.assert_array_equal(s.to_dense()[[0, 1], [1, 2]], [0.5, 0.9])
+
+    def test_labels_keep_their_first_label(self, tmp_path):
+        labels = load_labels(self._write_bom(tmp_path, "0\n1\n"))
+        np.testing.assert_array_equal(labels, [0, 1])
+
+    def test_header_after_the_mark_is_still_a_header(self, tmp_path):
+        path = self._write_bom(tmp_path, "p1,p2\n0.25,0.75\n")
+        np.testing.assert_array_equal(load_prob_csv(path), [[0.25, 0.75]])
+
+    def test_rejection_names_the_same_line(self, tmp_path):
+        path = self._write_bom(tmp_path, "0,1,0.5\n1,2,0.9\n2,2,0.5\n")
+        with pytest.raises(InputFormatError) as err:
+            load_similarity_triplets(path)
+        assert err.value.line_no == 3

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregman_consensus.divergences import divergence_spec
-from bregman_consensus.ensemble_inputs import SimilarityMatrix
 from bregman_consensus.estimator import check_probabilities
 from bregman_consensus.solver import (
     SolverConfig,
@@ -17,24 +16,8 @@ from bregman_consensus.solver import (
     run,
 )
 
-from conftest import ALL_TOKENS, interior_points, pairwise_objective, random_pi
-
-LAYOUTS = ("random", "empty", "gaps", "uniform")
-
-
-def _similarity(layout, rng, n):
-    """Random pairs; none; pairs that skip the first, a middle and the last node."""
-    if layout == "empty" or n < 2:
-        return SimilarityMatrix.empty(n)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.uniform(size=iu.size) < rng.uniform(0.2, 1.0)
-    if layout == "gaps":
-        skipped = np.array([0, n // 2, n - 1])
-        keep &= ~np.isin(iu, skipped) & ~np.isin(ju, skipped)
-    return SimilarityMatrix(n, iu[keep], ju[keep], rng.uniform(0.05, 1.0, iu.size)[keep])
-
-
-weights = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+from conftest import (ALL_TOKENS, LAYOUTS, interior_points, layout_similarity,
+                      pairwise_objective, random_pi, weights)
 
 
 @settings(max_examples=300, deadline=None)
@@ -43,7 +26,7 @@ weights = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
        seed=st.integers(0, 2**32 - 1))
 def test_objectives_match_pairwise_oracle(token, n, k, layout, alpha, lam, seed):
     rng = np.random.default_rng(seed)
-    similarity = _similarity(layout, rng, n)
+    similarity = layout_similarity(layout, rng, n)
     if layout == "uniform":  # the fixed point of uniform input: J = 0
         pi = yl = yr = np.full((n, k), 1.0 / k)
     else:
@@ -69,7 +52,7 @@ def test_objectives_match_pairwise_oracle(token, n, k, layout, alpha, lam, seed)
 @pytest.mark.parametrize("token", ALL_TOKENS)
 def test_solver_trace_matches_pairwise_oracle(token, rng):
     pi = random_pi(token, rng, 7, 3)
-    similarity = _similarity("gaps", rng, 7)
+    similarity = layout_similarity("gaps", rng, 7)
     config = SolverConfig(divergence=divergence_spec(token, 3), alpha=0.7, lam=0.2,
                           max_iters=20, threads=3)
     pi_c = check_probabilities(pi, config.divergence)

@@ -7,7 +7,8 @@ import pytest
 
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix
-from bregman_consensus.exceptions import ArgumentError, NonFiniteObjectiveError, ShapeError
+from bregman_consensus.exceptions import (ArgumentError, DomainError, NonFiniteObjectiveError,
+                                         ShapeError)
 from bregman_consensus.solver import (
     Labeling,
     SolverConfig,
@@ -295,6 +296,41 @@ class TestRun:
         cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), max_iters=50)
         with pytest.raises(ShapeError, match="non-finite"):
             run(pi, s, cfg)
+
+    def test_run_rejects_kl_rows_off_the_simplex(self):
+        # the estimator normalizes such rows first; run must not solve them as given
+        from bregman_consensus import BregmanConsensus, check_probabilities
+
+        pi = np.array([[0.6, 0.6], [0.2, 0.5], [0.9, 0.3]])
+        s = SimilarityMatrix(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.9]))
+        cfg = SolverConfig(divergence=divergence_spec("kl", 2), alpha=1.0, lam=0.1)
+        with pytest.raises(DomainError, match="row 0 sums to 1.2"):
+            run(pi, s, cfg)
+        labeling, state = run(check_probabilities(pi, cfg.divergence), s, cfg)
+        model = BregmanConsensus(divergence="kl", alpha=1.0, lam=0.1).fit(pi, s)
+        np.testing.assert_array_equal(model.probabilities_, labeling.probabilities)
+        assert model.objective_trace_ == state.objective_trace
+
+    def test_run_accepts_kl_rows_within_the_simplex_tolerance(self):
+        pi = np.array([[0.25, 0.75 + 5e-10], [0.5, 0.5]])
+        cfg = SolverConfig(divergence=divergence_spec("kl", 2), alpha=0.0, lam=0.1)
+        labeling, _ = run(pi, SimilarityMatrix.empty(2), cfg)
+        assert labeling.converged
+
+    def test_run_checks_kl_row_sums_before_clamping(self):
+        # clamping an exact one-hot row to the floor lifts its sum by (k - 2) * floor
+        pi = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        cfg = SolverConfig(divergence=divergence_spec("kl", 3, domain_floor=1e-3), lam=0.1)
+        labeling, _ = run(pi, SimilarityMatrix(2, np.array([0]), np.array([1]), np.array([0.5])),
+                          cfg)
+        assert labeling.labels[0] == 0
+
+    def test_fit_accepts_one_hot_kl_rows_with_a_large_floor(self):
+        from bregman_consensus import BregmanConsensus
+
+        model = BregmanConsensus(divergence="kl", domain_floor=1e-3)
+        model.fit([[1.0, 0.0], [0.5, 0.5]], np.array([[0.0, 0.5], [0.5, 0.0]]))
+        assert model.probabilities_.shape == (2, 2)
 
     def test_config_validation(self):
         spec = divergence_spec("gen-i", 2)
