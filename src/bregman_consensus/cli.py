@@ -113,8 +113,7 @@ def _load_problem(args):
         similarity = coassociation_similarity(parts)
     else:
         similarity = load_similarity_triplets(args.similarity, n=pi.shape[0])
-    if args.sparsify > 0.0:
-        similarity = sparsify(similarity, args.sparsify)
+    similarity = sparsify(similarity, args.sparsify)
     config = SolverConfig(divergence=spec, alpha=args.alpha, lam=args.lam,
                           epsilon=args.epsilon, max_iters=args.max_iters)
     return pi, similarity, config

@@ -3,9 +3,18 @@
 The two preprocessing steps that feed the solver are built here: the
 entrywise mean of the classifier ensemble's probability matrices, and the
 co-association similarity of a cluster ensemble (the fraction of partitions
-placing two instances in the same cluster).  Similarities are kept sparse:
-only the upper triangle (i < j) with strictly positive weight is stored,
-and the solver reads entries symmetrically with an absent (zero) diagonal.
+placing two instances in the same cluster).  Every similarity is symmetric
+with an absent (zero) diagonal and is read by the solver only through its
+``operator`` (``n``, ``row_sum``, ``matvec``).  It has one of two backings:
+
+* stored pairs: the upper triangle (i < j) with strictly positive weight,
+  from triplet files, ``from_pairs``/``from_dense`` and ``sparsify``; the
+  operator is the symmetrized CSR :class:`SimilarityOperator`;
+* partitions: ``coassociation_similarity`` keeps the n-by-r2 cluster ids,
+  since the co-association is the ensemble's membership hypergraph
+  S = (1/r2) sum_c B_c B_c^T - I (Strehl & Ghosh, "Cluster Ensembles", JMLR
+  2002).  The operator is :class:`PartitionOperator`, O(n k r2) per product,
+  and the pairs are enumerated only when ``rows``/``cols``/``vals`` are read.
 
 Data files share one comma-separated grammar: a leading UTF-8 byte-order
 mark is ignored, blank and whitespace-only lines are skipped, the first
@@ -42,6 +51,7 @@ class SimilarityMatrix:
     read as 0.  The diagonal is never stored, and each unordered pair at most
     once.  The arrays are read-only, so the :attr:`operator` built from them
     on first use stays valid for the matrix's lifetime.
+    :class:`PartitionSimilarity` keeps a partition ensemble instead.
     """
 
     n: int
@@ -114,19 +124,61 @@ class SimilarityMatrix:
         return a
 
     @cached_property
-    def operator(self) -> "SimilarityOperator":
-        """The symmetrized operator, built once per matrix on first use."""
+    def operator(self):
+        """The operator the solver, objective and diagnostics read, built once on first use."""
+        return self._csr
+
+    @cached_property
+    def _csr(self) -> "SimilarityOperator":
         return SimilarityOperator(self)
 
     def symmetrized_csr(self):
         """Both orientations in CSR form (indptr, indices, data), ascending indices.
 
         Row sums of this structure are the per-instance weights
-        ``sum_j s_ij`` the solver and diagnostics need.  The arrays are the
-        :attr:`operator`'s own and read-only.
+        ``sum_j s_ij``.  The arrays are read-only; for stored pairs they are
+        the :attr:`operator`'s own.
         """
-        op = self.operator
+        op = self._csr
         return op.indptr, op.indices, op.data
+
+
+class PartitionSimilarity(SimilarityMatrix):
+    """Co-association of a partition ensemble, kept as its cluster ids.
+
+    ``clusters`` is (n, r2) with each column relabelled to 0..m_c-1.  The
+    :attr:`operator` is a :class:`PartitionOperator` over it; the stored
+    pairs are enumerated on first read of ``rows``, ``cols``, ``vals`` or
+    ``nnz`` and kept, which no solve does.
+    """
+
+    def __init__(self, clusters: np.ndarray):
+        clusters.setflags(write=False)
+        object.__setattr__(self, "n", clusters.shape[0])
+        object.__setattr__(self, "clusters", clusters)
+
+    @cached_property
+    def _pairs(self):
+        pairs = _coassociation_pairs(self.clusters)
+        for arr in pairs:
+            arr.setflags(write=False)
+        return pairs
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._pairs[0]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._pairs[1]
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._pairs[2]
+
+    @cached_property
+    def operator(self) -> "PartitionOperator":
+        return PartitionOperator(self.clusters)
 
 
 class SimilarityOperator:
@@ -163,6 +215,58 @@ class SimilarityOperator:
         for c in range(Y.shape[1]):
             out[nonempty, c] = np.add.reduceat(self.data * Y[:, c][self.indices], offsets)
         return out
+
+
+class PartitionOperator:
+    """The co-association ``S = (1/r2) sum_c B_c B_c^T - I``, never formed.
+
+    ``clusters`` is (n, r2), each column relabelled to 0..m_c-1.  A product
+    is one grouped sum per partition and column, O(n k r2) in all::
+
+        (S Y)_i = (1/r2) sum_c (sum_{j in C_c(i)} Y_j - Y_i)
+
+    ``Y_i`` is taken out inside each partition's term, so a singleton
+    cluster adds exactly 0 and a node never co-clustered gets a zero row and
+    ``row_sum`` 0.0, as an empty row of the CSR operator does.
+    """
+
+    def __init__(self, clusters: np.ndarray):
+        self.n, self._r2 = clusters.shape
+        self._columns = [np.ascontiguousarray(ids) for ids in clusters.T]
+        self.row_sum = self.matvec(np.ones((self.n, 1)))[:, 0]
+        self.row_sum.setflags(write=False)
+
+    def matvec(self, Y: np.ndarray) -> np.ndarray:
+        """``S @ Y`` for an (n, m) array; each cluster sums in ascending node order."""
+        out = np.zeros((self.n, Y.shape[1]))
+        for ids in self._columns:  # every id up to the largest occurs
+            for c in range(Y.shape[1]):
+                y = Y[:, c]
+                out[:, c] += np.bincount(ids, weights=y)[ids] - y
+        out /= self._r2
+        return out
+
+
+def _coassociation_pairs(clusters: np.ndarray):
+    """Canonical (rows, cols, vals) of the co-association of relabelled clusters.
+
+    Each partition lists the pairs i < j inside each of its clusters as
+    :func:`_pair_key` keys; a pair's value is the number of partitions that
+    list it over r2.
+    """
+    n, r2 = clusters.shape
+    keys = []
+    for ids in clusters.T:
+        members = np.argsort(ids, kind="stable")  # by cluster, ascending inside each
+        sizes = np.bincount(ids)
+        position = np.arange(n)
+        later = np.repeat(np.cumsum(sizes), sizes) - position - 1  # members after it
+        first = np.repeat(position, later)
+        step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        keys.append(_pair_key(members[first], members[first + step + 1], n))
+    key, count = np.unique(np.concatenate(keys), return_counts=True)
+    rows, cols = np.divmod(key, n)
+    return rows, cols, count / r2
 
 
 def _pair_key(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -224,12 +328,14 @@ def coassociation_similarity(partitions) -> SimilarityMatrix:
     """Co-association similarity of a partition set.
 
     ``s_ij`` is the fraction of the r2 partitions that place instances i and
-    j in the same cluster; zero-weight pairs are not stored.
+    j in the same cluster.  The result keeps the relabelled cluster ids (see
+    :class:`PartitionSimilarity`); no n-by-n array is formed.
 
     Parameters
     ----------
-    partitions : (n, r2) integer array
-        One column of cluster identifiers per clusterer.
+    partitions : (n, r2) array of integer values
+        One column of cluster identifiers per clusterer.  Labels that are
+        NaN, infinite or not integers raise ``DomainError``.
     """
     parts = np.asarray(partitions)
     if parts.ndim == 1:
@@ -241,20 +347,25 @@ def coassociation_similarity(partitions) -> SimilarityMatrix:
         raise ShapeError("co-association needs at least two instances")
     if r2 < 1:
         raise ShapeError("co-association needs at least one partition")
-    counts = np.zeros((n, n), dtype=np.float64)
+    if parts.dtype.kind not in "biu":
+        parts = np.asarray(parts, dtype=np.float64)
+        bad = ~np.isfinite(parts) | (np.floor(parts) != parts)
+        if np.any(bad):
+            row, col = np.argwhere(bad)[0]
+            raise DomainError(f"partition labels must be finite integers; row {row}, "
+                              f"column {col} holds {float(parts[row, col])!r}")
+    clusters = np.empty((n, r2), dtype=np.int64, order="F")
     for col in range(r2):
-        labels = parts[:, col]
-        counts += labels[:, None] == labels[None, :]
-    iu, ju = np.triu_indices(n, k=1)
-    vals = counts[iu, ju] / r2
-    keep = vals > 0.0
-    return SimilarityMatrix(n, iu[keep], ju[keep], vals[keep])
+        clusters[:, col] = np.unique(parts[:, col], return_inverse=True)[1]
+    return PartitionSimilarity(clusters)
 
 
 def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix:
-    """Drop entries with s_ij < threshold; threshold 0 is the identity."""
+    """Drop entries with s_ij < threshold; threshold 0 returns ``similarity`` itself."""
     if not 0.0 <= threshold <= 1.0:
         raise RangeError(f"sparsify threshold must lie in [0, 1], got {threshold}")
+    if threshold == 0.0:
+        return similarity
     keep = similarity.vals >= threshold
     return SimilarityMatrix(
         similarity.n,

@@ -27,10 +27,12 @@ Divergences", JMLR 2005)::
 
 The left sweep already forms ``S grad phi(yr)`` for the same right copies,
 so each iteration's objective costs O(n k) on top of the sweeps; a bare
-objective call costs one sparse product of S with an n-by-k matrix.  The
-similarity operator (symmetrized CSR and row sums) is built once per
-:class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix` and shared by
-the solver, the objective and the diagnostics.
+objective call costs one product of S with an n-by-k matrix.  The solver,
+the objective and the diagnostics read the similarity only through its
+operator (``n``, ``row_sum``, ``matvec``), built once per
+:class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix`: a symmetrized
+CSR for stored pairs, O(nnz k) per product, or the partition-factored
+co-association, O(n k r2) per product.
 
 Within a half-step the per-instance updates are mutually independent (right
 updates read only left copies and ``pi``; left updates read only right

@@ -87,6 +87,25 @@ def partition_similarity(rng, n, r2=4, clusters=3):
     return coassociation_similarity(parts)
 
 
+def dense_coassociation(partitions):
+    """The co-association built as a dense n-by-n count, stored as pairs.
+
+    The direct form the partition-backed similarity must reproduce: each
+    partition adds 1 where two labels are equal, and the upper triangle's
+    positive counts over r2 are stored.
+    """
+    parts = np.asarray(partitions)
+    n, r2 = parts.shape
+    counts = np.zeros((n, n), dtype=np.float64)
+    for col in range(r2):
+        labels = parts[:, col]
+        counts += labels[:, None] == labels[None, :]
+    iu, ju = np.triu_indices(n, k=1)
+    vals = counts[iu, ju] / r2
+    keep = vals > 0.0
+    return SimilarityMatrix(n, iu[keep], ju[keep], vals[keep])
+
+
 def pairwise_objective(y_left, y_right, pi, similarity, config, lam=None):
     """The split objective summed pair by pair over the stored triplets.
 

@@ -94,6 +94,26 @@ class TestRun:
         np.testing.assert_array_equal(parsed[:, 1].astype(int), labeling.labels)
         np.testing.assert_array_equal(parsed[:, 2:], labeling.probabilities)
 
+    def test_sparsified_labels_file_matches_library_calls(self, problem_files, tmp_path):
+        from bregman_consensus.cli import _write_labels
+        from bregman_consensus.divergences import divergence_spec
+        from bregman_consensus.ensemble_inputs import (coassociation_similarity,
+                                                       load_partitions_csv, sparsify)
+        from bregman_consensus.estimator import check_probabilities
+        from bregman_consensus.solver import SolverConfig, run
+
+        pi_path, parts_path, _ = problem_files
+        main(_run_args(pi_path, parts_path, tmp_path, "sp5", "--alpha", "0.3",
+                       "--sparsify", "0.5"))
+        spec = divergence_spec("gen-i", 2)
+        pi = check_probabilities(load_prob_csv(pi_path), spec)
+        similarity = sparsify(coassociation_similarity(load_partitions_csv(parts_path)), 0.5)
+        assert 0 < similarity.nnz
+        labeling, _ = run(pi, similarity, SolverConfig(divergence=spec, alpha=0.3))
+        _write_labels(tmp_path / "library.csv", labeling)
+        assert ((tmp_path / "labels_sp5.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes())
+
     def test_sparsify_zero_is_byte_identical(self, problem_files, tmp_path):
         pi, parts, _ = problem_files
         main(_run_args(pi, parts, tmp_path, "plain", "--alpha", "0.7"))
@@ -234,3 +254,14 @@ def test_non_finite_alpha_or_objective_exits_2(tmp_path, capsys, alpha, message)
                      "--labels-out", str(tmp_path / "labels.csv")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["-0.5", "1.5"])
+def test_sparsify_outside_the_unit_interval_exits_2(tmp_path, capsys, threshold):
+    (tmp_path / "pi.csv").write_text("0.3,0.7\n0.6,0.4\n0.5,0.5\n")
+    (tmp_path / "sim.txt").write_text("0,1,0.5\n1,2,0.9\n")
+    code = main(["run", "--pi", str(tmp_path / "pi.csv"),
+                 "--similarity", str(tmp_path / "sim.txt"), "--sparsify", threshold,
+                 "--labels-out", str(tmp_path / "labels.csv")])
+    assert code == 2
+    assert "sparsify threshold" in capsys.readouterr().err

@@ -108,6 +108,18 @@ class TestCoassociation:
         with pytest.raises(ShapeError):
             coassociation_similarity(np.zeros((1, 2), dtype=int))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+    def test_rejects_labels_that_are_not_finite_integers(self, bad):
+        # grouping by value would put every NaN in one cluster
+        parts = np.array([[0.0, 1.0], [1.0, bad], [0.0, bad]])
+        with pytest.raises(DomainError, match="row 1, column 1"):
+            coassociation_similarity(parts)
+
+    def test_integral_float_labels_match_integer_labels(self, rng):
+        parts = rng.integers(-3, 3, (10, 4))
+        s = coassociation_similarity(parts.astype(np.float64))
+        np.testing.assert_array_equal(s.to_dense(), coassociation_similarity(parts).to_dense())
+
 
 class TestSimilarityMatrix:
     def test_rejects_diagonal_and_bad_values(self):
@@ -156,6 +168,16 @@ class TestSparsify:
         out = sparsify(s, 0.0)
         np.testing.assert_array_equal(out.rows, s.rows)
         np.testing.assert_array_equal(out.vals, s.vals)
+
+    def test_threshold_zero_keeps_the_partition_backing(self, rng):
+        s = coassociation_similarity(rng.integers(0, 3, (10, 4)))
+        assert sparsify(s, 0.0) is s
+        pi = rng.uniform(0.2, 1.0, (10, 2))
+        cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), alpha=0.8, lam=0.3)
+        lab, state = run(pi, sparsify(s, 0.0), cfg)
+        lab_s, state_s = run(pi, s, cfg)
+        assert lab.probabilities.tobytes() == lab_s.probabilities.tobytes()
+        assert state.objective_trace == state_s.objective_trace
 
     def test_filter_semantics(self):
         s = SimilarityMatrix(4, np.array([0, 0, 1]), np.array([1, 2, 3]),
