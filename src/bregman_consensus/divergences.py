@@ -16,8 +16,9 @@ gen-i               R+^k          sum p ln p
 
 Scalar kinds extend to k dimensions by coordinatewise summation, which keeps
 the divergence equal to the sum of scalar divergences.  Every kind provides
-``phi``, its gradient, the closed-form gradient inverse, the Legendre dual
-``psi``, and the primal/dual divergences built from them.
+``phi`` (and its per-coordinate terms, ``phi_terms``), its gradient, the
+closed-form gradient inverse, the Legendre dual ``psi``, and the primal/dual
+divergences built from them.
 
 Log-based domains are clamped to ``domain_floor`` before evaluation so that
 hard, exactly-zero classifier outputs stay evaluable; points further outside
@@ -246,10 +247,13 @@ class DivergenceSpec:
 
     # -- primal evaluators -------------------------------------------------
 
+    def phi_terms(self, p):
+        """Generating function per coordinate, before the sum over the last axis."""
+        return self._rule.phi_terms(self._admit(p))
+
     def phi(self, p):
         """Generating function, summed over the last axis."""
-        p = self._admit(p)
-        return np.sum(self._rule.phi_terms(p), axis=-1)
+        return np.sum(self.phi_terms(p), axis=-1)
 
     def grad(self, p):
         """Coordinatewise exact gradient of phi."""

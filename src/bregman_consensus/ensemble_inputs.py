@@ -50,8 +50,11 @@ class SimilarityMatrix:
     Entries are in (0, 1]; pairs that never co-occur are simply absent and
     read as 0.  The diagonal is never stored, and each unordered pair at most
     once.  The arrays are read-only, so the :attr:`operator` built from them
-    on first use stays valid for the matrix's lifetime.
-    :class:`PartitionSimilarity` keeps a partition ensemble instead.
+    on first use stays valid for the matrix's lifetime.  Input arrays are
+    copied into row-major order, except arrays already in that order that
+    are read-only and own their memory, which no one can change: those are
+    kept as given.  :class:`PartitionSimilarity` keeps a partition ensemble
+    instead.
     """
 
     n: int
@@ -72,13 +75,18 @@ class SimilarityMatrix:
                 raise ShapeError("triplets must satisfy i < j (no diagonal)")
             if np.any(vals <= 0.0) or np.any(vals > 1.0):
                 raise RangeError("similarity values must lie in (0, 1]")
-        order = np.argsort(_pair_key(rows, cols, self.n), kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-        if np.any(same):
-            p = int(np.argmax(same))
-            raise ShapeError(f"pair ({rows[p]}, {cols[p]}) is stored more than once "
-                             "(duplicate or mirrored)")
+        key = _pair_key(rows, cols, self.n)
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key)  # keys are unique unless a pair repeats, rejected below
+            del key
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+            if np.any(same):
+                p = int(np.argmax(same))
+                raise ShapeError(f"pair ({rows[p]}, {cols[p]}) is stored more than once "
+                                 "(duplicate or mirrored)")
+        elif not all(a.flags.owndata and not a.flags.writeable for a in (rows, cols, vals)):
+            rows, cols, vals = rows.copy(), cols.copy(), vals.copy()
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -94,15 +102,34 @@ class SimilarityMatrix:
 
     @classmethod
     def from_pairs(cls, n, i, j, s) -> "SimilarityMatrix":
-        """Build from arbitrary (i, j, s) pairs; orientation is canonicalized."""
+        """Build from arbitrary (i, j, s) pairs; orientation is canonicalized.
+
+        Zero weights are dropped.  The pairs are sorted here, as one key per
+        pair, and handed over read-only, so the constructor keeps them
+        without a copy and the transient peak stays below twice the stored
+        arrays.
+        """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         s = np.asarray(s, dtype=np.float64)
+        if not (i.shape == j.shape == s.shape) or i.ndim != 1:
+            raise ShapeError("rows, cols and vals must be equal-length 1-D arrays")
         if np.any(i == j):
             raise ShapeError("diagonal similarity entries are not allowed")
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+            raise ShapeError(f"indices out of range for n={n}")
+        key = _pair_key(np.minimum(i, j), np.maximum(i, j), n)
         keep = s != 0.0
-        return cls(n, lo[keep], hi[keep], s[keep])
+        if not keep.all():
+            key, s = key[keep], s[keep]
+        order = np.argsort(key)  # keys are unique unless a pair repeats, rejected below
+        key, s = key[order], s[order]
+        del order
+        rows, cols = np.divmod(key, max(n, 1))
+        del key
+        for arr in (rows, cols, s):
+            arr.setflags(write=False)
+        return cls(n, rows, cols, s)
 
     @classmethod
     def from_dense(cls, a) -> "SimilarityMatrix":
@@ -189,31 +216,54 @@ class SimilarityOperator:
     """
 
     def __init__(self, similarity: SimilarityMatrix):
-        self.n = similarity.n
-        i2 = np.concatenate([similarity.rows, similarity.cols])
-        j2 = np.concatenate([similarity.cols, similarity.rows])
-        order = np.argsort(_pair_key(i2, j2, self.n), kind="stable")
-        self.indices = j2[order]
-        self.data = np.concatenate([similarity.vals, similarity.vals])[order]
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(self.indptr, i2 + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-        self.row_sum = self.matvec(np.ones((self.n, 1)))[:, 0]
+        """Place both halves of the stored pairs by counting.
+
+        The stored half (i < j) arrives sorted row-major.  In row t the
+        mirrored entries (columns below t) come first, then the stored ones
+        (columns above t).  A stable sort of the mirrored half by its row
+        keeps each row's columns ascending, since the stored half is ordered
+        by them; it sorts the unique keys ``row * m + position``, which a
+        plain sort orders faster than a stable argsort orders the rows.
+        """
+        n = self.n = similarity.n
+        rows, cols, vals = similarity.rows, similarity.cols, similarity.vals
+        m = rows.size
+        below = np.bincount(cols, minlength=n)  # mirrored entries per row
+        above = np.bincount(rows, minlength=n)  # stored entries per row
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(below + above, out=self.indptr[1:])
+        first = np.arange(m)
+        stored_at = first + np.cumsum(below)[rows]
+        key = cols * m
+        key += first
+        key.sort()
+        mirrored_row, order = np.divmod(key, max(m, 1))
+        mirrored_at = first + (np.cumsum(above) - above)[mirrored_row]
+        self.indices = np.empty(2 * m, dtype=np.int64)
+        self.data = np.empty(2 * m)
+        self.indices[stored_at] = cols
+        self.data[stored_at] = vals
+        self.indices[mirrored_at] = rows[order]
+        self.data[mirrored_at] = vals[order]
+        # reduceat sees only nonempty rows' offsets, whose consecutive gaps are
+        # exactly those rows' slices
+        nonempty = np.flatnonzero(below + above)
+        self._offsets = self.indptr[nonempty]
+        self._targets = slice(None) if nonempty.size == n else nonempty
+        self.row_sum = self.matvec(np.ones((n, 1)))[:, 0]
         for arr in (self.indptr, self.indices, self.data, self.row_sum):
             arr.setflags(write=False)
 
     def matvec(self, Y: np.ndarray) -> np.ndarray:
         """``S @ Y`` for an (n, m) array, one column at a time.
 
-        Each row reduces its own contiguous slice in ascending column order.
-        Empty rows contribute zero; reduceat sees only nonempty rows'
-        offsets, whose consecutive gaps are exactly the nonempty rows' slices.
+        Each row reduces its own contiguous slice in ascending column order;
+        empty rows contribute zero.
         """
         out = np.zeros((self.n, Y.shape[1]))
-        nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
-        offsets = self.indptr[nonempty]
         for c in range(Y.shape[1]):
-            out[nonempty, c] = np.add.reduceat(self.data * Y[:, c][self.indices], offsets)
+            out[self._targets, c] = np.add.reduceat(self.data * Y[:, c][self.indices],
+                                                    self._offsets)
         return out
 
 

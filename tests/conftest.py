@@ -106,6 +106,42 @@ def dense_coassociation(partitions):
     return SimilarityMatrix(n, iu[keep], ju[keep], vals[keep])
 
 
+def argsort_csr(similarity):
+    """The symmetrized CSR (indptr, indices, data) by one stable argsort of all keys.
+
+    The direct form ``SimilarityOperator`` must reproduce byte for byte:
+    both orientations of every stored pair, keyed row-major and sorted
+    together, with ``indptr`` counted by ``np.add.at``.
+    """
+    n = similarity.n
+    i2 = np.concatenate([similarity.rows, similarity.cols])
+    j2 = np.concatenate([similarity.cols, similarity.rows])
+    order = np.argsort(i2 * n + j2, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, i2 + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, j2[order], np.concatenate([similarity.vals, similarity.vals])[order]
+
+
+def where_left_sweep(grad_right, op, spec, y_left, alpha, lam):
+    """The left sweep as full-size ``np.where`` passes over every row.
+
+    The direct form the solver's left half-step must reproduce: inactive
+    rows (``alpha * r_i + lam == 0``) take ``grad_right`` as their dual
+    placeholder and keep ``y_left``.
+    """
+    nbr = op.matvec(grad_right)
+    denom = alpha * op.row_sum + lam
+    active = denom > 0.0
+    dual = np.where(active[:, None],
+                    (alpha * nbr + lam * grad_right) / np.where(active, denom, 1.0)[:, None],
+                    grad_right)
+    updated = spec.grad_inv(dual)
+    if spec.simplex_domain:
+        updated = updated / updated.sum(axis=1, keepdims=True)
+    return np.where(active[:, None], updated, y_left), nbr
+
+
 def pairwise_objective(y_left, y_right, pi, similarity, config, lam=None):
     """The split objective summed pair by pair over the stored triplets.
 

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import (
     SimilarityMatrix,
+    SimilarityOperator,
     average_class_probabilities,
     coassociation_similarity,
     load_labels,
@@ -30,7 +32,7 @@ from bregman_consensus.exceptions import (
 )
 from bregman_consensus.solver import SolverConfig, run
 
-from conftest import random_similarity
+from conftest import argsort_csr, layout_similarity, random_similarity
 
 
 class TestAveraging:
@@ -160,6 +162,63 @@ class TestSimilarityMatrix:
                 np.flatnonzero(dense[i]),
             )
             assert data[indptr[i]:indptr[i + 1]].sum() == pytest.approx(dense[i].sum())
+
+
+class TestOperatorBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), layout=st.sampled_from(["random", "empty", "gaps", "partitions"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_csr_matches_argsort_oracle_bytewise(self, n, layout, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "partitions" and n >= 2:  # enumerated pairs of a partition ensemble
+            similarity = coassociation_similarity(rng.integers(0, 4, (n, 3)))
+        else:  # random pairs leave empty rows; "gaps" isolates three nodes
+            similarity = layout_similarity("random" if layout == "partitions" else layout,
+                                           rng, n)
+        op = SimilarityOperator(similarity)
+        for got, want in zip((op.indptr, op.indices, op.data), argsort_csr(similarity)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+class TestFromPairs:
+    def test_peak_stays_below_twice_the_stored_arrays(self):
+        rng = np.random.default_rng(128)
+        n, m = 50_000, 128_000
+        i, j = rng.integers(0, n, 2 * m), rng.integers(0, n, 2 * m)
+        distinct = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_index=True)[1]
+        picked = rng.permutation(distinct[i[distinct] != j[distinct]])[:m]
+        i, j = i[picked], j[picked]  # random order and orientation
+        s = rng.uniform(0.05, 1.0, m)
+        s[rng.random(m) < 0.05] = 0.0
+        tracemalloc.start()
+        try:
+            similarity = SimilarityMatrix.from_pairs(n, i, j, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = similarity.rows.nbytes + similarity.cols.nbytes + similarity.vals.nbytes
+        assert peak < 2 * stored, (peak, stored)
+        keep = s != 0.0
+        want = SimilarityMatrix(n, np.minimum(i, j)[keep], np.maximum(i, j)[keep], s[keep])
+        for name in ("rows", "cols", "vals"):
+            assert getattr(similarity, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_rejects_bad_shapes_and_indices(self):
+        with pytest.raises(ShapeError, match="equal-length"):
+            SimilarityMatrix.from_pairs(3, [0, 1], [1], [0.5, 0.5])
+        with pytest.raises(ShapeError, match="out of range"):
+            SimilarityMatrix.from_pairs(3, [0, -1], [1, 2], [0.5, 0.5])
+        with pytest.raises(ShapeError, match="out of range"):
+            SimilarityMatrix.from_pairs(3, [0, 3], [1, 1], [0.5, 0.5])
+        assert SimilarityMatrix.from_pairs(4, [], [], []).nnz == 0
+
+    def test_constructor_never_freezes_the_callers_arrays(self):
+        rows, cols, vals = np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.9])
+        s = SimilarityMatrix(3, rows, cols, vals)  # already canonical
+        for mine, stored in ((rows, s.rows), (cols, s.cols), (vals, s.vals)):
+            assert mine.flags.writeable and not stored.flags.writeable
+            assert not np.shares_memory(mine, stored)
 
 
 class TestSparsify:

@@ -13,6 +13,7 @@ from bregman_consensus.solver import (
     Labeling,
     SolverConfig,
     SolverState,
+    _Sweeps,
     lambda_threshold,
     minimize_j0,
     objective_j,
@@ -32,6 +33,7 @@ from conftest import (
     random_instance,
     random_pi,
     random_similarity,
+    where_left_sweep,
 )
 
 
@@ -174,6 +176,32 @@ class TestUpdateLeft:
         cfg = SolverConfig(divergence=divergence_spec("kl", 3), alpha=1.0, lam=0.5)
         _, state = run(pi, s, cfg)
         np.testing.assert_allclose(state.y_left.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestLeftSweepInactiveRows:
+    """Rows with ``alpha * r_i + lam == 0`` keep their copy; the rest match the np.where form."""
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    @pytest.mark.parametrize("alpha, lam", [(0.7, 0.0), (0.0, 0.0), (0.7, 0.3)])
+    def test_against_where_oracle(self, token, alpha, lam, rng):
+        n, k = 7, 3
+        linked = np.array([1, 2, 4, 5])  # nodes 0, 3 and 6 are isolated
+        iu, ju = np.triu_indices(linked.size, k=1)
+        similarity = SimilarityMatrix(n, linked[iu], linked[ju], rng.uniform(0.05, 1.0, iu.size))
+        spec = divergence_spec(token, k)
+        y_left = interior_points(token, rng, n, k)
+        grad_right = spec.grad(interior_points(token, rng, n, k))
+        op = similarity.operator
+        # the placeholder dual must stay in range: itakura-saito and
+        # bose-einstein would raise RangeError otherwise
+        got, nbr = _Sweeps(op, spec, alpha, lam).left(grad_right, y_left)
+        want, want_nbr = where_left_sweep(grad_right, op, spec, y_left, alpha, lam)
+        inactive = np.zeros(n, dtype=bool)
+        if lam == 0.0:
+            inactive[[0, 3, 6] if alpha > 0.0 else slice(None)] = True
+        assert got[inactive].tobytes() == y_left[inactive].tobytes()
+        np.testing.assert_allclose(got[~inactive], want[~inactive], rtol=1e-15, atol=0.0)
+        assert nbr.tobytes() == want_nbr.tobytes()
 
 
 class TestHalfStepOptimality:
