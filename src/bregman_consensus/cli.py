@@ -132,14 +132,19 @@ def _summary_line(labeling, trace):
 
 
 def _diagnostics_entries(recorded, pi, similarity, config, hessian_only, burn_in):
-    """Report entries and trace rows from a recorded run plus a tight reference run.
+    """Report entries and trace rows from a recorded run plus a tight reference.
 
     ``recorded`` is the ``(labeling, state)`` of a finished
-    ``record_copies=True`` run with ``config``.  With ``hessian_only``,
-    skipped Hessian checks raise instead of being reported.
+    ``record_copies=True`` run with ``config``.  The reference is the state
+    a fresh run at ``epsilon=1e-14`` reaches; :func:`solver.resume` reads it
+    from the recorded history or continues the recorded run to it, so no
+    recorded iteration is swept twice and ``max_iters`` caps both runs'
+    total.  With ``hessian_only``, skipped Hessian checks raise instead of
+    being reported.
     """
     record, state = recorded
-    _, state_star = solver.run(pi, similarity, dataclasses.replace(config, epsilon=1e-14))
+    _, state_star = solver.resume(pi, similarity, dataclasses.replace(config, epsilon=1e-14),
+                                  state)
 
     rate = diag.qlinear_ratios(state.copy_history, (state_star.y_left, state_star.y_right),
                                burn_in=burn_in)

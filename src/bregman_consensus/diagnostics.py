@@ -22,7 +22,8 @@ import numpy as np
 
 from .divergences import DivergenceKind
 from .ensemble_inputs import SimilarityMatrix
-from .exceptions import InsufficientTraceError, ShapeError, UnsupportedDivergenceError
+from .exceptions import (ArgumentError, InsufficientTraceError, ShapeError,
+                         UnsupportedDivergenceError)
 from .solver import SolverConfig, SolverState
 
 _HESSIAN_KINDS = (DivergenceKind.KL, DivergenceKind.GENERALIZED_I)
@@ -151,8 +152,11 @@ def qlinear_ratios(snapshots, z_star, burn_in: int = 5) -> RateReport:
     ``snapshots`` is a sequence of per-iteration ``(y_left, y_right)`` pairs,
     such as a run's ``copy_history``; ``z_star`` the converged pair from a
     run at tight tolerance.  Distances below ``1e-12 * max(1, ||z*||)`` are
-    treated as already converged and produce no ratio.
+    treated as already converged and produce no ratio.  A negative
+    ``burn_in`` raises :class:`ArgumentError`.
     """
+    if burn_in < 0:
+        raise ArgumentError(f"burn_in must be nonnegative, got {burn_in}")
     if len(snapshots) < burn_in + 3:
         raise InsufficientTraceError(
             f"need at least burn_in + 3 = {burn_in + 3} snapshots, got {len(snapshots)}"

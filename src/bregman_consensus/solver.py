@@ -48,6 +48,10 @@ single product with the similarity.  Every inner summation runs in fixed
 ascending-index order, so results are reproducible bit for bit.  The solve
 runs in one thread; ``SolverConfig.threads`` is accepted for compatibility
 and ignored.
+
+The loop is entered from the uniform start by :func:`run`, and from a
+finished run's copies and trace by :func:`resume`, which continues a
+recorded run to a tighter tolerance without redoing its iterations.
 """
 
 from __future__ import annotations
@@ -174,6 +178,9 @@ class _Objective:
     def __call__(self, y_left, y_right, lam=None, grad_right=None, nbr_grad=None):
         """J at the given copies; ``lam`` overrides the coupling.
 
+        One array passed as both copies (the single-copy objective J0) has
+        its phi terms and its clamp computed once.
+
         ``grad_right`` (grad phi of the right copies) and ``nbr_grad`` (its
         product with the similarity) may be passed in when the caller
         already has them.  The pair term is a weighted sum of divergences,
@@ -181,10 +188,13 @@ class _Objective:
         """
         spec = self.spec
         lam = self.lam if lam is None else lam
-        phi_l, phi_r = spec.phi_terms(y_left), spec.phi_terms(y_right)
+        shared = y_left is y_right
+        phi_l = spec.phi_terms(y_left)
+        phi_r = phi_l if shared else spec.phi_terms(y_right)
         if grad_right is None:
             grad_right = spec.grad(y_right)
-        y_left, y_right = spec.clamp(y_left), spec.clamp(y_right)
+        y_left = spec.clamp(y_left)
+        y_right = y_left if shared else spec.clamp(y_right)
         total = float(np.sum(self.phi_pi - phi_r - (self.pi - y_right) * grad_right))
         if self.alpha > 0.0:
             if nbr_grad is None:
@@ -257,6 +267,62 @@ def _finite(iteration: int, value: float) -> float:
     return value
 
 
+def _stops(previous: float, value: float, epsilon: float) -> bool:
+    """The stopping test: the relative objective change is below ``epsilon``."""
+    return abs(value - previous) / max(previous, _TRACE_GUARD) < epsilon
+
+
+def _checked_pi(pi, similarity, spec):
+    """``pi`` validated and clamped, as :func:`run` reads it."""
+    raw = np.asarray(pi, dtype=np.float64)
+    pi = validate_probabilities(spec, raw)
+    if spec.simplex_domain:
+        sums = raw.sum(axis=1)  # before clamping, which moves exact rows off the simplex
+        off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
+        if off.size:
+            row = int(off[0])
+            raise DomainError(f"{spec.kind.value}: pi row {row} sums to {float(sums[row])!r}, "
+                              "not 1; normalize the rows first")
+    if similarity.n != pi.shape[0]:
+        raise ShapeError(f"similarity is over {similarity.n} instances, pi over {pi.shape[0]}")
+    return pi
+
+
+def _result(y_left, y_right, iteration, converged, trace, history, spec):
+    probs, labels = _finalize(y_left, y_right, spec)
+    labeling = Labeling(probabilities=probs, labels=labels,
+                        iterations_used=iteration, converged=converged)
+    state = SolverState(y_left=y_left, y_right=y_right, iteration=iteration,
+                        objective_trace=trace, copy_history=history)
+    return labeling, state
+
+
+def _solve(pi, similarity, config, objective, y_left, y_right, trace, history):
+    """The alternating loop, entered with the copies after iteration ``len(trace) - 1``.
+
+    Appends each iteration's J to ``trace`` (and its copies to ``history``
+    when given) until the stopping test fires or ``config.max_iters``
+    iterations are done in all.  The copies passed in are not modified.
+    """
+    spec = config.divergence
+    sweeps = _Sweeps(similarity.operator, spec, config.alpha, config.lam)
+    converged = False
+    iteration = len(trace) - 1
+    for iteration in range(len(trace), config.max_iters + 1):
+        y_right = sweeps.right(pi, y_left)
+        grad_right = spec.grad(y_right)
+        y_left, nbr_grad = sweeps.left(grad_right, y_left)
+        value = _finite(iteration, objective(y_left, y_right, grad_right=grad_right,
+                                             nbr_grad=nbr_grad))
+        trace.append(value)
+        if history is not None:
+            history.append((y_left.copy(), y_right.copy()))
+        if _stops(trace[-2], value, config.epsilon):
+            converged = True
+            break
+    return _result(y_left, y_right, iteration, converged, trace, history, spec)
+
+
 def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
         record_copies: bool = False):
     """Run the alternating solve to convergence.
@@ -287,49 +353,58 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     -------
     (Labeling, SolverState)
     """
-    spec = config.divergence
-    raw = np.asarray(pi, dtype=np.float64)
-    pi = validate_probabilities(spec, raw)
-    if spec.simplex_domain:
-        sums = raw.sum(axis=1)  # before clamping, which moves exact rows off the simplex
-        off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
-        if off.size:
-            row = int(off[0])
-            raise DomainError(f"{spec.kind.value}: pi row {row} sums to {float(sums[row])!r}, "
-                              "not 1; normalize the rows first")
+    pi = _checked_pi(pi, similarity, config.divergence)
     n, k = pi.shape
-    if similarity.n != n:
-        raise ShapeError(f"similarity is over {similarity.n} instances, pi over {n}")
-
-    sweeps = _Sweeps(similarity.operator, spec, config.alpha, config.lam)
     objective = _Objective(pi, similarity, config)
     y_left = np.full((n, k), 1.0 / k)
     y_right = np.full((n, k), 1.0 / k)
     trace = [_finite(0, objective(y_left, y_right))]
     history = [(y_left.copy(), y_right.copy())] if record_copies else None
+    return _solve(pi, similarity, config, objective, y_left, y_right, trace, history)
 
-    converged = False
-    iteration = 0
-    for iteration in range(1, config.max_iters + 1):
-        y_right = sweeps.right(pi, y_left)
-        grad_right = spec.grad(y_right)
-        y_left, nbr_grad = sweeps.left(grad_right, y_left)
-        value = _finite(iteration, objective(y_left, y_right, grad_right=grad_right,
-                                             nbr_grad=nbr_grad))
-        trace.append(value)
-        if history is not None:
-            history.append((y_left.copy(), y_right.copy()))
-        previous = trace[-2]
-        if abs(value - previous) / max(previous, _TRACE_GUARD) < config.epsilon:
-            converged = True
-            break
 
-    probs, labels = _finalize(y_left, y_right, spec)
-    labeling = Labeling(probabilities=probs, labels=labels,
-                        iterations_used=iteration, converged=converged)
-    state = SolverState(y_left=y_left, y_right=y_right, iteration=iteration,
-                        objective_trace=trace, copy_history=history)
-    return labeling, state
+def resume(pi, similarity: SimilarityMatrix, config: SolverConfig, state: SolverState):
+    """What ``run(pi, similarity, config)`` returns, without redoing ``state``'s iterations.
+
+    ``state`` is a finished run of the same problem (``pi``, similarity,
+    divergence, ``alpha`` and ``lam``) under another ``epsilon`` or
+    ``max_iters``, such as the recorded run a diagnosis reads.  An iteration
+    depends only on the copies before it, so the fresh run's first
+    ``state.iteration`` iterations are ``state``'s, bit for bit:
+
+    * when the recorded trace passes ``config``'s stopping test at some
+      iteration t, or reaches ``config.max_iters``, the result is the
+      snapshot at t, taken from ``state.copy_history`` unless it is the
+      final state (a snapshot before it without a history raises
+      ``ArgumentError``);
+    * otherwise the loop continues from ``state``'s final copies and trace,
+      up to ``config.max_iters`` iterations in all.
+
+    ``state`` and its trace and history are not modified.  The returned
+    state carries no copy history.
+    """
+    spec = config.divergence
+    trace = state.objective_trace
+    last = min(state.iteration, config.max_iters)
+    stop = next((t for t in range(1, last + 1)
+                 if _stops(trace[t - 1], trace[t], config.epsilon)), None)
+    converged = stop is not None
+    if stop is None and last == config.max_iters:
+        stop = last
+    if stop is not None:
+        if stop == state.iteration:
+            y_left, y_right = state.y_left, state.y_right
+        elif state.copy_history is None:
+            raise ArgumentError(f"the result is the recorded iteration {stop}, "
+                                "but the state has no copy history")
+        else:
+            y_left, y_right = state.copy_history[stop]
+        return _result(y_left.copy(), y_right.copy(), stop, converged,
+                       list(trace[:stop + 1]), None, spec)
+    pi = _checked_pi(pi, similarity, spec)
+    objective = _Objective(pi, similarity, config)
+    return _solve(pi, similarity, config, objective, state.y_left, state.y_right,
+                  list(trace), None)
 
 
 # -- threshold for copy coalescence ------------------------------------------
@@ -370,19 +445,30 @@ def _project_domain(Y, spec):
 
 
 def minimize_j0(pi, similarity, config, y0=None, max_iters=20000, tol=1e-12):
-    """Projected-gradient minimizer of the single-copy objective.
+    """Spectral projected-gradient minimizer of the single-copy objective J0.
 
-    Used as the fallback when no externally computed minimizer is supplied to
-    :func:`lambda_threshold`; Armijo backtracking on the exact objective.
+    Each iteration tries the Barzilai-Borwein step ``s's / s'y`` first, with
+    ``s`` the last accepted move and ``y`` the change of the gradient along
+    it, clipped to [1e-10, 1e6]; on the first iteration it tries 1, and when
+    ``s'y <= 0`` twice the last accepted step.  The trial is halved, at most
+    60 times, until the projected point lowers J0 (plain decrease); the
+    loop ends when no halving does, or when the largest coordinate move is
+    below ``tol`` and the drop in J0 below ``tol * max(1, |J0|)``.  The
+    gradient at an accepted point is the next iteration's gradient.
+
+    Barzilai & Borwein, IMA J. Numer. Anal. 1988; Birgin, Martinez &
+    Raydan, SIAM J. Optim. 2000.  Used by :func:`lambda_threshold` when no
+    minimizer is supplied.
     """
     spec = config.divergence
     pi = spec.clamp(np.asarray(pi, dtype=np.float64))
     objective = _Objective(pi, similarity, config)
+    op = similarity.operator
     Y = _project_domain(pi.copy() if y0 is None else np.asarray(y0, dtype=np.float64), spec)
     value = objective(Y, Y, lam=0.0)
+    g = _grad_j0(Y, pi, op, config)
     step = 1.0
     for _ in range(max_iters):
-        g = _grad_j0(Y, pi, similarity.operator, config)
         improved = False
         trial = step
         for _ in range(60):  # backtrack until the projected step descends
@@ -396,10 +482,16 @@ def minimize_j0(pi, similarity, config, y0=None, max_iters=20000, tol=1e-12):
             break
         move = float(np.abs(Y_new - Y).max())
         drop = value - v_new
-        Y, value = Y_new, v_new
-        step = min(trial * 2.0, 1e6)
-        if move < tol and drop < tol * max(1.0, abs(value)):
-            break
+        if move < tol and drop < tol * max(1.0, abs(v_new)):
+            return Y_new
+        g_new = _grad_j0(Y_new, pi, op, config)
+        s, y = Y_new - Y, g_new - g
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            step = min(max(float(np.vdot(s, s)) / sy, 1e-10), 1e6)
+        else:
+            step = min(trial * 2.0, 1e6)
+        Y, value, g = Y_new, v_new, g_new
     return Y
 
 
@@ -413,8 +505,11 @@ def lambda_threshold(pi, similarity, config, state: SolverState, j0_minimizer=No
 
         (J0(y*) - J(yl*, yr*; lam=0)) / sum_i d(yl_i, yr_i)
 
-    ``j0_minimizer`` may supply y* directly; otherwise a projected-gradient
-    minimization of the single-copy objective computes it.
+    ``j0_minimizer`` may supply y* directly; otherwise :func:`minimize_j0`
+    computes it by spectral projected gradient.  y* is fixed only to about
+    1e-8, but J0 is flat there, so the result is limited by J0's rounding
+    divided by the copy gap: under a permutation of the nodes or a change of
+    step rule it moved by about 1e-13 relative on random problems.
     """
     spec = config.divergence
     per_row = np.atleast_1d(spec.bregman(state.y_left, state.y_right))

@@ -290,6 +290,56 @@ def eq_left_objective(i, y_right, similarity, config):
     return value
 
 
+def doubling_minimize_j0(pi, similarity, config, max_iters=20000, tol=1e-12):
+    """Projected gradient on J0 whose first trial doubles the last accepted step.
+
+    The form ``solver.minimize_j0`` had before its Barzilai-Borwein steps:
+    the same start, projection, plain-decrease backtracking (at most 60
+    halvings) and stopping rule, with a first trial of 1 and then twice the
+    last accepted step, capped at 1e6.  The gradient is recomputed at the
+    top of every iteration.
+    """
+    from bregman_consensus.solver import _Objective, _grad_j0, _project_domain
+
+    spec = config.divergence
+    pi = spec.clamp(np.asarray(pi, dtype=np.float64))
+    objective = _Objective(pi, similarity, config)
+    Y = _project_domain(pi.copy(), spec)
+    value = objective(Y, Y, lam=0.0)
+    step = 1.0
+    for _ in range(max_iters):
+        g = _grad_j0(Y, pi, similarity.operator, config)
+        improved = False
+        trial = step
+        for _ in range(60):
+            Y_new = _project_domain(Y - trial * g, spec)
+            v_new = objective(Y_new, Y_new, lam=0.0)
+            if v_new < value:
+                improved = True
+                break
+            trial *= 0.5
+        if not improved:
+            break
+        move = float(np.abs(Y_new - Y).max())
+        drop = value - v_new
+        Y, value = Y_new, v_new
+        step = min(trial * 2.0, 1e6)
+        if move < tol and drop < tol * max(1.0, abs(value)):
+            break
+    return Y
+
+
+def two_solve_reference(pi, similarity, config, state):
+    """The diagnostics reference as a second, fresh solve at the given config.
+
+    The form ``solver.resume`` must reproduce bit for bit: it ignores the
+    recorded ``state`` and redoes every iteration from the uniform start.
+    """
+    from bregman_consensus.solver import run
+
+    return run(pi, similarity, config)
+
+
 def fd_projected_gradient_j0(pi, similarity, config, iters=3000):
     """Projected gradient on the single-copy objective with FD gradients.
 

@@ -215,6 +215,8 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypatch):
+    import dataclasses
+
     from bregman_consensus import cli, solver
     from bregman_consensus import diagnostics as diag
 
@@ -222,24 +224,83 @@ def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypa
     report = tmp_path / "report.txt"
     argv = _run_args(pi, parts, tmp_path, "d", "--alpha", "0.001", "--threads", "1",
                      "--diagnostics-out", str(report))
-    calls = []
-    real_run = solver.run
+    pi_arr, similarity, config = cli._load_problem(cli.build_parser().parse_args(argv))
+    recorded = solver.run(pi_arr, similarity, config, record_copies=True)
+    _, fresh = solver.run(pi_arr, similarity, dataclasses.replace(config, epsilon=1e-14))
+    assert fresh.iteration > recorded[1].iteration  # the reference goes past the main solve
 
-    def counting_run(*args, **kwargs):
-        calls.append(kwargs.get("record_copies", False))
-        return real_run(*args, **kwargs)
+    sweeps = []
+    real_right = solver._Sweeps.right
 
-    monkeypatch.setattr(solver, "run", counting_run)
+    def counting_right(self, *args):
+        sweeps.append(1)
+        return real_right(self, *args)
+
+    monkeypatch.setattr(solver._Sweeps, "right", counting_right)
     assert main(argv) == 0
-    assert calls == [True, False]  # the recorded main solve and the 1e-14 reference
+    # the main solve's iterations, then only the reference's new ones
+    assert len(sweeps) == fresh.iteration
     monkeypatch.undo()
 
     # the report equals one built from a separate record_copies=True run
-    pi_arr, similarity, config = cli._load_problem(cli.build_parser().parse_args(argv))
-    recorded = solver.run(pi_arr, similarity, config, record_copies=True)
     entries, _ = cli._diagnostics_entries(recorded, pi_arr, similarity, config, None, burn_in=5)
     assert report.read_bytes() == diag.render_report(entries).encode("utf-8")
 
+
+# the 1e-14 reference continues the recorded run, is a snapshot from its
+# history, or is its final state when both hit the iteration cap
+_REFERENCE_BRANCHES = {
+    "continued": ("--epsilon", "1e-10"),
+    "snapshot": ("--epsilon", "1e-16"),
+    "capped": ("--epsilon", "1e-10", "--max-iters", "8"),
+}
+_OUTPUTS = {"diagnose": ("--report-out", "--trace-out"),
+            "run": ("--labels-out", "--trace-out", "--diagnostics-out")}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
+@pytest.mark.parametrize("branch", sorted(_REFERENCE_BRANCHES))
+def test_reference_outputs_match_a_second_solve_bytewise(problem_files, tmp_path, monkeypatch,
+                                                         command, branch):
+    import dataclasses
+
+    from bregman_consensus import cli, solver
+
+    from conftest import two_solve_reference
+
+    pi, parts, _ = problem_files
+    argv = [command, "--pi", str(pi), "--partitions", str(parts), "--alpha", "0.001",
+            *_REFERENCE_BRANCHES[branch]]
+
+    def outputs(tag):
+        paths = [tmp_path / f"{tag}{flag}" for flag in _OUTPUTS[command]]
+        code = main(argv + [a for flag, path in zip(_OUTPUTS[command], paths)
+                            for a in (flag, str(path))])
+        return code, [path.read_bytes() for path in paths]
+
+    pi_arr, similarity, config = cli._load_problem(cli.build_parser().parse_args(argv))
+    _, recorded = solver.run(pi_arr, similarity, config)
+    _, fresh = solver.run(pi_arr, similarity, dataclasses.replace(config, epsilon=1e-14))
+    if recorded.iteration == config.max_iters:
+        taken = "capped"
+    elif fresh.iteration > recorded.iteration:
+        taken = "continued"
+    else:
+        taken = "snapshot" if fresh.iteration < recorded.iteration else "final state"
+    assert taken == branch
+
+    resumed = outputs("resumed")
+    monkeypatch.setattr(solver, "resume", two_solve_reference)
+    assert outputs("two_solves") == resumed
+    assert resumed[0] == (3 if branch == "capped" else 0)
+
+
+def test_negative_burn_in_exits_2(problem_files, tmp_path, capsys):
+    pi, parts, _ = problem_files
+    code = main(["diagnose", "--pi", str(pi), "--partitions", str(parts), "--alpha", "0.001",
+                 "--burn-in", "-1", "--report-out", str(tmp_path / "report.txt")])
+    assert code == 2
+    assert "burn_in" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha, message", [("1e308", "iteration 1"), ("nan", "alpha"),

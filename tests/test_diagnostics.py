@@ -19,7 +19,7 @@ from bregman_consensus.diagnostics import (
 )
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix
-from bregman_consensus.exceptions import (InsufficientTraceError, ShapeError,
+from bregman_consensus.exceptions import (ArgumentError, InsufficientTraceError, ShapeError,
                                          UnsupportedDivergenceError)
 from bregman_consensus.solver import SolverConfig, SolverState, _objective, run
 
@@ -214,6 +214,12 @@ class TestQlinear:
         assert post and max(post) < 1.0 and report.qlinear
         tail = report.ratios[-5:]
         assert max(tail) - min(tail) < 0.2  # empirical rate stabilization
+
+    def test_negative_burn_in_is_rejected(self):
+        # burn_in=-1 used to count the ratio taken at the uniform start
+        snapshots = [(np.full((2, 2), 0.5 ** t), np.full((2, 2), 0.5 ** t)) for t in range(8)]
+        with pytest.raises(ArgumentError, match="burn_in"):
+            qlinear_ratios(snapshots, (np.zeros((2, 2)), np.zeros((2, 2))), burn_in=-1)
 
     def test_insufficient_snapshots(self, rng):
         with pytest.raises(InsufficientTraceError):

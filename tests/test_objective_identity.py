@@ -47,6 +47,9 @@ def test_objectives_match_pairwise_oracle(token, n, k, layout, alpha, lam, seed)
           pairwise_objective(yl, yr, pi, similarity, config))
     close(objective_j0(yr, pi, similarity, config),
           pairwise_objective(yr, yr, pi, similarity, config, lam=0.0))
+    # one array as both copies takes the shared phi terms and clamp: same bits
+    assert objective_j0(yr, pi, similarity, config) == _objective(
+        yr, yr.copy(), pi, similarity, config, lam=0.0)
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)

@@ -1,23 +1,30 @@
 """Solver: objectives, closed-form updates, descent, fixed points, coupling."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregman_consensus.divergences import divergence_spec
-from bregman_consensus.ensemble_inputs import SimilarityMatrix
-from bregman_consensus.exceptions import (ArgumentError, DomainError, NonFiniteObjectiveError,
-                                         ShapeError)
+from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity
+from bregman_consensus.exceptions import (ArgumentError, BregmanConsensusError, DomainError,
+                                         NonFiniteObjectiveError, ShapeError)
 from bregman_consensus.solver import (
     Labeling,
     SolverConfig,
     SolverState,
+    _grad_j0,
+    _project_domain,
     _Sweeps,
     lambda_threshold,
     minimize_j0,
     objective_j,
     objective_j0,
+    resume,
     run,
     update_left,
     update_right,
@@ -25,14 +32,17 @@ from bregman_consensus.solver import (
 
 from conftest import (
     ALL_TOKENS,
+    doubling_minimize_j0,
     eq_left_objective,
     eq_right_objective,
     fd_projected_gradient_j0,
     interior_points,
     nelder_mead_minimize,
+    partition_similarity,
     random_instance,
     random_pi,
     random_similarity,
+    weights,
     where_left_sweep,
 )
 
@@ -425,6 +435,139 @@ def test_minimize_j0_matches_fd_oracle(rng):
     b = fd_projected_gradient_j0(pi, s, cfg)
     np.testing.assert_allclose(a, b, atol=2e-5)
     assert objective_j0(a, pi, s, cfg) <= objective_j0(b, pi, s, cfg) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 6), k=st.integers(2, 4),
+       alpha=st.floats(0.01, 2.0), lam=st.floats(0.01, 2.0), partitions=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_bb_minimize_j0_matches_doubling_oracle(token, n, k, alpha, lam, partitions, seed):
+    rng = np.random.default_rng(seed)
+    pi, s, cfg = random_instance(token, rng, n, k, alpha=alpha, lam=lam,
+                                 epsilon=1e-12, max_iters=3000)
+    if partitions and n > 1:
+        s = partition_similarity(rng, n)
+    spec = cfg.divergence
+    y = minimize_j0(pi, s, cfg)
+    # first-order stationary: measured at most 2.0e-7 on 700 random problems
+    grad = _grad_j0(y, spec.clamp(pi), s.operator, cfg)
+    assert float(np.abs(y - _project_domain(y - grad, spec)).max()) <= 1e-5
+
+    oracle = doubling_minimize_j0(pi, s, cfg)
+    j, j_oracle = objective_j0(y, pi, s, cfg), objective_j0(oracle, pi, s, cfg)
+    # J0 is summed from terms of the size of sum |phi(pi)|; when it cancels
+    # far below them (kl, n=3: J0 = 5.0e-4 from terms of order 1) both
+    # minimizers sit at its rounding floor, so the 1e-13 is taken relative to
+    # the larger of the two.  Measured on 1400 random problems: at most
+    # 5.0e-14 of J0 and 1.4e-15 of that scale above the oracle.
+    scale = max(abs(j_oracle), float(np.abs(spec.phi_terms(spec.clamp(pi))).sum()))
+    assert j <= j_oracle + 1e-13 * scale
+
+    _, state = run(pi, s, cfg)
+    got = lambda_threshold(pi, s, cfg, state)
+    expected = lambda_threshold(pi, s, cfg, state, j0_minimizer=oracle)
+    # lambda_hat is a J0 difference over the copy gap, so J0's bound carries
+    # over divided by the gap (kl, n=2: a gap of 6.4e-8 turns a J0 change of
+    # 7.6e-17 into 5.6e-10 of lambda_hat).  Measured: within 4.4e-12 relative
+    # on the 1400 random problems.
+    gap = float(np.sum(spec.bregman(state.y_left, state.y_right)))
+    bound = 1e-10 * abs(expected) + (1e-13 * scale / gap if gap > 0.0 else 0.0)
+    assert got <= expected + bound
+    if j_oracle <= j + 1e-13 * scale:  # the oracle reached the minimum too
+        assert abs(got - expected) <= bound
+
+
+def test_minimize_j0_reaches_the_squared_minimizer_where_doubling_stalls():
+    # Doubling from the accepted step 0.25 always fails back to 0.25, about
+    # 2 / (2 + 6 alpha), where the stiff direction contracts by -0.99998 per
+    # step: the doubling rule ends at its 20000-iteration cap with J0 = 1.449
+    # and lambda_hat = 14.57 instead of 0.5475 and 2.1875.
+    pi = np.array([[1.3, 0.6], [0.2, 0.1]])
+    s = SimilarityMatrix.from_pairs(2, [0], [1], [0.75])
+    cfg = SolverConfig(divergence=divergence_spec("squared", 2), alpha=0.99999, lam=1.0,
+                       epsilon=1e-12, max_iters=3000)
+    # J0 = |Y - pi|^2 + alpha sum_ij s_ij |Y_i - Y_j|^2 is stationary where
+    # (I + 2 alpha (R - S)) Y = pi
+    exact = np.linalg.solve(np.eye(2) + 2 * cfg.alpha * (np.diag(s.operator.row_sum)
+                                                         - s.to_dense()), pi)
+    np.testing.assert_allclose(minimize_j0(pi, s, cfg), exact, rtol=0.0, atol=1e-9)
+    _, state = run(pi, s, cfg)
+    assert lambda_threshold(pi, s, cfg, state) == pytest.approx(
+        lambda_threshold(pi, s, cfg, state, j0_minimizer=exact), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("token", ALL_TOKENS)
+@pytest.mark.parametrize("partitions", [False, True])
+def test_lambda_threshold_is_permutation_invariant(token, partitions, rng):
+    n, k = 7, 3
+    pi, s, cfg = random_instance(token, rng, n, k, epsilon=1e-12, max_iters=3000)
+    perm = rng.permutation(n)
+    if partitions:
+        parts = rng.integers(0, 3, (n, 4))
+        s, permuted = coassociation_similarity(parts), coassociation_similarity(parts[perm])
+    else:
+        inv = np.argsort(perm)  # node i of the original is node inv[i] of the permuted
+        permuted = SimilarityMatrix.from_pairs(n, inv[s.rows], inv[s.cols], s.vals)
+    _, state = run(pi, s, cfg)
+    _, state_p = run(pi[perm], permuted, cfg)
+    expected = lambda_threshold(pi, s, cfg, state)
+    # the minimizer itself moves by up to about 1e-8 under a permutation, but
+    # J0 is flat there: lambda_hat moved by at most 1.9e-13 relative on 140
+    # random problems and 1.6e-15 on the benchmark's desk problem
+    assert lambda_threshold(pi[perm], permuted, cfg, state_p) == pytest.approx(
+        expected, rel=1e-10, abs=0.0)
+
+
+_EPSILONS = (1e-6, 1e-10, 1e-14, 1e-16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 6), k=st.integers(2, 4),
+       alpha=weights, lam=weights, recorded=st.sampled_from(_EPSILONS),
+       target=st.sampled_from(_EPSILONS), recorded_cap=st.integers(1, 80),
+       target_cap=st.integers(1, 80), history=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_resume_is_bitwise_a_fresh_run(token, n, k, alpha, lam, recorded, target,
+                                       recorded_cap, target_cap, history, seed):
+    rng = np.random.default_rng(seed)
+    pi, s, cfg = random_instance(token, rng, n, k, alpha=alpha, lam=lam,
+                                 epsilon=recorded, max_iters=recorded_cap)
+    try:
+        _, state = run(pi, s, cfg, record_copies=history)
+    except BregmanConsensusError:
+        return  # no recorded run to resume (a subnormal weight can fail the left sweep)
+    kept = (state.y_left.copy(), state.y_right.copy(), list(state.objective_trace),
+            None if state.copy_history is None
+            else [(a.copy(), b.copy()) for a, b in state.copy_history])
+    tight = dataclasses.replace(cfg, epsilon=target, max_iters=target_cap)
+    try:
+        fresh_labeling, fresh = run(pi, s, tight)
+    except BregmanConsensusError as exc:
+        fresh = exc
+
+    if isinstance(fresh, BregmanConsensusError):  # the continuation fails the same way
+        with pytest.raises(type(fresh), match=re.escape(str(fresh))):
+            resume(pi, s, tight, state)
+    elif fresh.iteration < state.iteration and not history:
+        with pytest.raises(ArgumentError, match="copy history"):
+            resume(pi, s, tight, state)
+    else:
+        labeling, got = resume(pi, s, tight, state)
+        assert got.iteration == labeling.iterations_used == fresh.iteration
+        assert labeling.converged == fresh_labeling.converged
+        assert np.array(got.objective_trace).tobytes() == np.array(fresh.objective_trace).tobytes()
+        for a, b in ((got.y_left, fresh.y_left), (got.y_right, fresh.y_right),
+                     (labeling.probabilities, fresh_labeling.probabilities),
+                     (labeling.labels, fresh_labeling.labels)):
+            assert a.tobytes() == b.tobytes()
+        assert got.copy_history is None
+
+    assert state.y_left.tobytes() == kept[0].tobytes()
+    assert state.y_right.tobytes() == kept[1].tobytes()
+    assert state.objective_trace == kept[2]
+    if history:
+        assert len(state.copy_history) == len(kept[3])
+        for (a, b), (c, d) in zip(state.copy_history, kept[3]):
+            assert a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
 
 
 class TestNonFinite:
