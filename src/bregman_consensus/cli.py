@@ -46,6 +46,7 @@ from .exceptions import BregmanConsensusError, UnsupportedDivergenceError
 from .solver import SolverConfig, lambda_threshold
 
 _DIVERGENCE_TOKENS = tuple(kind.value for kind in DivergenceKind)
+_REFERENCE_EPSILON = 1e-14  # tolerance of the diagnostics' converged reference
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
@@ -131,24 +132,30 @@ def _summary_line(labeling, trace):
             f"iters={labeling.iterations_used} J={trace[-1]!r}")
 
 
-def _diagnostics_entries(recorded, pi, similarity, config, hessian_only, burn_in):
-    """Report entries and trace rows from a recorded run plus a tight reference.
+def _recorded_solve(pi, similarity, config):
+    """``config``'s run and the 1e-14 reference state, read off one recorded solve.
 
-    ``recorded`` is the ``(labeling, state)`` of a finished
-    ``record_copies=True`` run with ``config``.  The reference is the state
-    a fresh run at ``epsilon=1e-14`` reaches; :func:`solver.resume` reads it
-    from the recorded history or continues the recorded run to it, so no
-    recorded iteration is swept twice and ``max_iters`` caps both runs'
-    total.  With ``hessian_only``, skipped Hessian checks raise instead of
-    being reported.
+    The solve runs at the tighter of the two tolerances, so it goes as far
+    as both; ``max_iters`` caps both.
+    """
+    tight = dataclasses.replace(config, epsilon=min(config.epsilon, _REFERENCE_EPSILON))
+    _, record = solver.run(pi, similarity, tight, record_copies=True)
+    _, reference = solver.prefix(record, dataclasses.replace(config, epsilon=_REFERENCE_EPSILON))
+    return solver.prefix(record, config), reference
+
+
+def _diagnostics_entries(recorded, reference, pi, similarity, config, hessian_only, burn_in):
+    """Report entries and trace rows from a recorded run and its reference.
+
+    ``recorded`` is the ``(labeling, state)`` of a ``record_copies=True`` run
+    with ``config``, and ``reference`` the state of a run at
+    ``epsilon=1e-14``, as :func:`_recorded_solve` gives them.  With
+    ``hessian_only``, skipped Hessian checks raise instead of being reported.
     """
     record, state = recorded
-    _, state_star = solver.resume(pi, similarity, dataclasses.replace(config, epsilon=1e-14),
-                                  state)
-
-    rate = diag.qlinear_ratios(state.copy_history, (state_star.y_left, state_star.y_right),
+    rate = diag.qlinear_ratios(state.copy_history, (reference.y_left, reference.y_right),
                                burn_in=burn_in)
-    monitor = diag.DeltaJMonitor.from_history(state_star.y_left, state.copy_history,
+    monitor = diag.DeltaJMonitor.from_history(reference.y_left, state.copy_history,
                                               similarity, config)
     entries = [
         ("divergence", config.divergence.kind.value),
@@ -198,14 +205,16 @@ def _diagnostics_entries(recorded, pi, similarity, config, hessian_only, burn_in
 
 def _cmd_run(args) -> int:
     pi, similarity, config = _load_problem(args)
-    recording = bool(args.diagnostics_out)
-    labeling, state = solver.run(pi, similarity, config, record_copies=recording)
+    if args.diagnostics_out:
+        (labeling, state), reference = _recorded_solve(pi, similarity, config)
+    else:
+        labeling, state = solver.run(pi, similarity, config)
     _write_labels(args.labels_out, labeling)
     if args.trace_out:
         save_matrix_csv(args.trace_out, enumerate(state.objective_trace))
-    if recording:
-        entries, _ = _diagnostics_entries((labeling, state), pi, similarity, config, False,
-                                          burn_in=5)
+    if args.diagnostics_out:
+        entries, _ = _diagnostics_entries((labeling, state), reference, pi, similarity, config,
+                                          False, burn_in=5)
         with open(args.diagnostics_out, "w", encoding="utf-8") as fh:
             fh.write(diag.render_report(entries))
     line = _summary_line(labeling, state.objective_trace)
@@ -233,8 +242,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     pi, similarity, config = _load_problem(args)
-    record, state = solver.run(pi, similarity, config, record_copies=True)
-    entries, trace_rows = _diagnostics_entries((record, state), pi, similarity, config,
+    recorded, reference = _recorded_solve(pi, similarity, config)
+    entries, trace_rows = _diagnostics_entries(recorded, reference, pi, similarity, config,
                                                args.hessian_only, burn_in=args.burn_in)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(diag.render_report(entries))
@@ -242,7 +251,7 @@ def _cmd_diagnose(args) -> int:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trace_rows) + "\n")
     print(f"report written to {args.report_out}")
-    return 0 if record.converged else 3
+    return 0 if recorded[0].converged else 3
 
 
 def main(argv=None) -> int:

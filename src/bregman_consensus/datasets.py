@@ -22,6 +22,9 @@ MOON_OFFSET = -0.5
 
 CIRCLE_RADII = (1.0, 2.0)
 
+KMEANS_RESTARTS = 5  # Lloyd runs per k-means call
+CLUSTER_COUNTS = range(4, 9)  # one k-means partition per count: r2 = 5
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -119,8 +122,8 @@ def _lloyd(points, k_clusters, rng, max_iters=100):
     return labels, history[-1], history
 
 
-def kmeans(points, k_clusters: int, seed: int, restarts: int = 5) -> np.ndarray:
-    """Seeded Lloyd k-means; the restart with the lowest WCSS wins.
+def kmeans(points, k_clusters: int, seed: int) -> np.ndarray:
+    """Seeded Lloyd k-means; of :data:`KMEANS_RESTARTS` restarts the lowest WCSS wins.
 
     Returns one partition column (n cluster identifiers) for a partition set.
     """
@@ -128,11 +131,11 @@ def kmeans(points, k_clusters: int, seed: int, restarts: int = 5) -> np.ndarray:
     n = len(points)
     if k_clusters > n:
         raise ArgumentError(f"k_clusters={k_clusters} exceeds n={n}")
-    if k_clusters < 1 or restarts < 1:
-        raise ArgumentError("k_clusters and restarts must be positive")
+    if k_clusters < 1:
+        raise ArgumentError("k_clusters must be positive")
     rng = np.random.default_rng(seed)
     best_labels, best_wcss = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         labels, wcss, _ = _lloyd(points, k_clusters, rng)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
@@ -151,9 +154,10 @@ class ConsensusProblem:
 
 
 def synthetic_problem(kind: str, n: int, noise: float, label_fraction: float,
-                      seed: int, cluster_range=range(4, 9)) -> ConsensusProblem:
+                      seed: int) -> ConsensusProblem:
     """Sample a dataset, train the built-in classifier on a small stratified
-    split, and cluster the remaining target set once per cluster count.
+    split, and cluster the remaining target set once per cluster count in
+    :data:`CLUSTER_COUNTS`.
 
     ``label_fraction`` of the points (at least one per class, split evenly
     across classes) train the centroid classifier; everything else becomes
@@ -182,7 +186,7 @@ def synthetic_problem(kind: str, n: int, noise: float, label_fraction: float,
 
     pi = nearest_centroid_classifier(train)(target_points)
     partitions = np.column_stack(
-        [kmeans(target_points, kc, seed=seed * 97 + kc) for kc in cluster_range]
+        [kmeans(target_points, kc, seed=seed * 97 + kc) for kc in CLUSTER_COUNTS]
     )
     return ConsensusProblem(pi=pi, partitions=partitions, truth=truth,
                             target_points=target_points, train_count=int(train_mask.sum()))

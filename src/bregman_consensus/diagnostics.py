@@ -208,7 +208,7 @@ class DeltaJMonitor:
         return all(v[t + 1] <= v[t] + slack for t in range(len(v) - 1))
 
 
-def descent_violation(trace, relative_slack: float = 1e-12) -> float:
+def descent_violation(trace) -> float:
     """Largest relative objective increase along a trace (0 when monotone)."""
     worst = 0.0
     for a, b in zip(trace[:-1], trace[1:]):

@@ -43,7 +43,7 @@ from .exceptions import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
     """Symmetric sparse similarity, stored as canonical i < j triplets.
 
@@ -54,7 +54,8 @@ class SimilarityMatrix:
     copied into row-major order, except arrays already in that order that
     are read-only and own their memory, which no one can change: those are
     kept as given.  :class:`PartitionSimilarity` keeps a partition ensemble
-    instead.
+    instead.  Equality and hashing are by identity, as for any container
+    that caches an operator.
     """
 
     n: int

@@ -49,9 +49,11 @@ ascending-index order, so results are reproducible bit for bit.  The solve
 runs in one thread; ``SolverConfig.threads`` is accepted for compatibility
 and ignored.
 
-The loop is entered from the uniform start by :func:`run`, and from a
-finished run's copies and trace by :func:`resume`, which continues a
-recorded run to a tighter tolerance without redoing its iterations.
+:func:`run` is the loop's only entry, always from the uniform start.  Only
+its stopping test reads ``epsilon``, so a run at a looser tolerance is a
+prefix of a run at a tighter one: :func:`prefix` reads it off a recorded
+run, which is how one diagnostics solve gives both the user's run and its
+tightly converged reference.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .exceptions import (ArgumentError, DivisionDegenerateError, DomainError,
                          NonFiniteObjectiveError, ShapeError)
 
 _TRACE_GUARD = 1e-300  # denominator guard for the relative objective test
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal weight the sweeps accept
 
 
 @dataclass
@@ -76,8 +79,9 @@ class SolverConfig:
     ``alpha`` weights the cluster-ensemble term, ``lam`` is the global
     left/right coupling penalty (one value shared by every instance), and
     convergence fires when the relative objective change drops below
-    ``epsilon``.  ``threads`` is accepted for compatibility and ignored; the
-    solve runs in one thread.
+    ``epsilon``.  A positive ``alpha`` or ``lam`` must be a normal float:
+    a subnormal weight underflows the sweeps' products.  ``threads`` is
+    accepted for compatibility and ignored; the solve runs in one thread.
     """
 
     divergence: DivergenceSpec
@@ -88,10 +92,13 @@ class SolverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.alpha < np.inf:
-            raise ArgumentError(f"alpha must be finite and nonnegative, got {self.alpha}")
-        if not 0 <= self.lam < np.inf:
-            raise ArgumentError(f"lam must be finite and nonnegative, got {self.lam}")
+        for name in ("alpha", "lam"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ArgumentError(f"{name} must be finite and nonnegative, got {value}")
+            if 0 < value < _TINY:  # the sweeps' products with it would underflow
+                raise ArgumentError(f"{name} must be 0 or at least {_TINY!r} (normal), "
+                                    f"got {value!r}")
         if not 0 < self.epsilon < np.inf:
             raise ArgumentError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iters < 1:
@@ -272,22 +279,6 @@ def _stops(previous: float, value: float, epsilon: float) -> bool:
     return abs(value - previous) / max(previous, _TRACE_GUARD) < epsilon
 
 
-def _checked_pi(pi, similarity, spec):
-    """``pi`` validated and clamped, as :func:`run` reads it."""
-    raw = np.asarray(pi, dtype=np.float64)
-    pi = validate_probabilities(spec, raw)
-    if spec.simplex_domain:
-        sums = raw.sum(axis=1)  # before clamping, which moves exact rows off the simplex
-        off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
-        if off.size:
-            row = int(off[0])
-            raise DomainError(f"{spec.kind.value}: pi row {row} sums to {float(sums[row])!r}, "
-                              "not 1; normalize the rows first")
-    if similarity.n != pi.shape[0]:
-        raise ShapeError(f"similarity is over {similarity.n} instances, pi over {pi.shape[0]}")
-    return pi
-
-
 def _result(y_left, y_right, iteration, converged, trace, history, spec):
     probs, labels = _finalize(y_left, y_right, spec)
     labeling = Labeling(probabilities=probs, labels=labels,
@@ -295,32 +286,6 @@ def _result(y_left, y_right, iteration, converged, trace, history, spec):
     state = SolverState(y_left=y_left, y_right=y_right, iteration=iteration,
                         objective_trace=trace, copy_history=history)
     return labeling, state
-
-
-def _solve(pi, similarity, config, objective, y_left, y_right, trace, history):
-    """The alternating loop, entered with the copies after iteration ``len(trace) - 1``.
-
-    Appends each iteration's J to ``trace`` (and its copies to ``history``
-    when given) until the stopping test fires or ``config.max_iters``
-    iterations are done in all.  The copies passed in are not modified.
-    """
-    spec = config.divergence
-    sweeps = _Sweeps(similarity.operator, spec, config.alpha, config.lam)
-    converged = False
-    iteration = len(trace) - 1
-    for iteration in range(len(trace), config.max_iters + 1):
-        y_right = sweeps.right(pi, y_left)
-        grad_right = spec.grad(y_right)
-        y_left, nbr_grad = sweeps.left(grad_right, y_left)
-        value = _finite(iteration, objective(y_left, y_right, grad_right=grad_right,
-                                             nbr_grad=nbr_grad))
-        trace.append(value)
-        if history is not None:
-            history.append((y_left.copy(), y_right.copy()))
-        if _stops(trace[-2], value, config.epsilon):
-            converged = True
-            break
-    return _result(y_left, y_right, iteration, converged, trace, history, spec)
 
 
 def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
@@ -333,7 +298,9 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     falls below ``config.epsilon`` or after ``config.max_iters`` iterations.
     The final vectors are the averages of the two copies, normalized per row.
     A non-finite objective raises ``NonFiniteObjectiveError`` naming the
-    iteration (0 for the starting copies).
+    iteration (0 for the starting copies).  Only the stopping test reads
+    ``epsilon``, so this run is a prefix of a recorded run at a tolerance no
+    looser; :func:`prefix` reads it off one.
 
     Parameters
     ----------
@@ -353,58 +320,70 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     -------
     (Labeling, SolverState)
     """
-    pi = _checked_pi(pi, similarity, config.divergence)
+    spec = config.divergence
+    raw = np.asarray(pi, dtype=np.float64)
+    pi = validate_probabilities(spec, raw)
+    if spec.simplex_domain:
+        sums = raw.sum(axis=1)  # before clamping, which moves exact rows off the simplex
+        off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
+        if off.size:
+            row = int(off[0])
+            raise DomainError(f"{spec.kind.value}: pi row {row} sums to {float(sums[row])!r}, "
+                              "not 1; normalize the rows first")
+    if similarity.n != pi.shape[0]:
+        raise ShapeError(f"similarity is over {similarity.n} instances, pi over {pi.shape[0]}")
     n, k = pi.shape
     objective = _Objective(pi, similarity, config)
+    sweeps = _Sweeps(similarity.operator, spec, config.alpha, config.lam)
     y_left = np.full((n, k), 1.0 / k)
     y_right = np.full((n, k), 1.0 / k)
     trace = [_finite(0, objective(y_left, y_right))]
     history = [(y_left.copy(), y_right.copy())] if record_copies else None
-    return _solve(pi, similarity, config, objective, y_left, y_right, trace, history)
+    converged = False
+    iteration = 0
+    for iteration in range(1, config.max_iters + 1):
+        y_right = sweeps.right(pi, y_left)
+        grad_right = spec.grad(y_right)
+        y_left, nbr_grad = sweeps.left(grad_right, y_left)
+        value = _finite(iteration, objective(y_left, y_right, grad_right=grad_right,
+                                             nbr_grad=nbr_grad))
+        trace.append(value)
+        if history is not None:
+            history.append((y_left.copy(), y_right.copy()))
+        if _stops(trace[-2], value, config.epsilon):
+            converged = True
+            break
+    return _result(y_left, y_right, iteration, converged, trace, history, spec)
 
 
-def resume(pi, similarity: SimilarityMatrix, config: SolverConfig, state: SolverState):
-    """What ``run(pi, similarity, config)`` returns, without redoing ``state``'s iterations.
+def prefix(state: SolverState, config: SolverConfig):
+    """What ``run(pi, similarity, config)`` returns, read off a recorded run.
 
-    ``state`` is a finished run of the same problem (``pi``, similarity,
-    divergence, ``alpha`` and ``lam``) under another ``epsilon`` or
-    ``max_iters``, such as the recorded run a diagnosis reads.  An iteration
-    depends only on the copies before it, so the fresh run's first
-    ``state.iteration`` iterations are ``state``'s, bit for bit:
-
-    * when the recorded trace passes ``config``'s stopping test at some
-      iteration t, or reaches ``config.max_iters``, the result is the
-      snapshot at t, taken from ``state.copy_history`` unless it is the
-      final state (a snapshot before it without a history raises
-      ``ArgumentError``);
-    * otherwise the loop continues from ``state``'s final copies and trace,
-      up to ``config.max_iters`` iterations in all.
-
-    ``state`` and its trace and history are not modified.  The returned
-    state carries no copy history.
+    ``state`` is a ``record_copies=True`` run of the same problem that goes
+    at least as far: at a tolerance no looser than ``config.epsilon``, or to
+    ``config.max_iters``.  An iteration depends only on the copies before
+    it, so the result is, bit for bit, the record cut at the first iteration
+    that passes ``config``'s stopping test, or at ``config.max_iters``, with
+    the trace and history up to the cut.  ``state`` is not modified.  A
+    record without history, or one that stops too early, raises
+    ``ArgumentError``.
     """
-    spec = config.divergence
+    history = state.copy_history
+    if history is None:
+        raise ArgumentError("the recorded run has no copy history")
     trace = state.objective_trace
     last = min(state.iteration, config.max_iters)
     stop = next((t for t in range(1, last + 1)
                  if _stops(trace[t - 1], trace[t], config.epsilon)), None)
     converged = stop is not None
-    if stop is None and last == config.max_iters:
-        stop = last
-    if stop is not None:
-        if stop == state.iteration:
-            y_left, y_right = state.y_left, state.y_right
-        elif state.copy_history is None:
-            raise ArgumentError(f"the result is the recorded iteration {stop}, "
-                                "but the state has no copy history")
-        else:
-            y_left, y_right = state.copy_history[stop]
-        return _result(y_left.copy(), y_right.copy(), stop, converged,
-                       list(trace[:stop + 1]), None, spec)
-    pi = _checked_pi(pi, similarity, spec)
-    objective = _Objective(pi, similarity, config)
-    return _solve(pi, similarity, config, objective, state.y_left, state.y_right,
-                  list(trace), None)
+    if not converged:
+        if config.max_iters > state.iteration:
+            raise ArgumentError(f"the recorded run stops at iteration {state.iteration}, "
+                                f"before the test at epsilon={config.epsilon!r} fires")
+        stop = config.max_iters
+    y_left, y_right = history[stop]
+    return _result(y_left.copy(), y_right.copy(), stop, converged, trace[:stop + 1],
+                   history[:stop + 1], config.divergence)
 
 
 # -- threshold for copy coalescence ------------------------------------------

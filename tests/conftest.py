@@ -66,7 +66,8 @@ def layout_similarity(layout, rng, n):
     return SimilarityMatrix(n, iu[keep], ju[keep], rng.uniform(0.05, 1.0, iu.size)[keep])
 
 
-weights = st.one_of(st.just(0.0), st.floats(0.0, 2.0))  # alpha and lambda, 0 included
+# alpha and lambda, 0 included; SolverConfig rejects subnormal weights
+weights = st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False))
 
 
 def random_instance(token, rng, n, k, alpha=None, lam=None, **kwargs):
@@ -329,15 +330,19 @@ def doubling_minimize_j0(pi, similarity, config, max_iters=20000, tol=1e-12):
     return Y
 
 
-def two_solve_reference(pi, similarity, config, state):
-    """The diagnostics reference as a second, fresh solve at the given config.
+def two_solve_reference(pi, similarity, config):
+    """The diagnostics' run and reference as two fresh solves.
 
-    The form ``solver.resume`` must reproduce bit for bit: it ignores the
-    recorded ``state`` and redoes every iteration from the uniform start.
+    The form ``cli._recorded_solve`` must reproduce bit for bit: a
+    ``record_copies=True`` run at ``config``, then a separate run from the
+    uniform start at ``epsilon=1e-14``.
     """
+    import dataclasses
+
     from bregman_consensus.solver import run
 
-    return run(pi, similarity, config)
+    recorded = run(pi, similarity, config, record_copies=True)
+    return recorded, run(pi, similarity, dataclasses.replace(config, epsilon=1e-14))[1]
 
 
 def fd_projected_gradient_j0(pi, similarity, config, iters=3000):

@@ -238,17 +238,18 @@ def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypa
 
     monkeypatch.setattr(solver._Sweeps, "right", counting_right)
     assert main(argv) == 0
-    # the main solve's iterations, then only the reference's new ones
+    # one recorded solve, as long as the fresh 1e-14 run
     assert len(sweeps) == fresh.iteration
     monkeypatch.undo()
 
     # the report equals one built from a separate record_copies=True run
-    entries, _ = cli._diagnostics_entries(recorded, pi_arr, similarity, config, None, burn_in=5)
+    entries, _ = cli._diagnostics_entries(recorded, fresh, pi_arr, similarity, config, None,
+                                          burn_in=5)
     assert report.read_bytes() == diag.render_report(entries).encode("utf-8")
 
 
-# the 1e-14 reference continues the recorded run, is a snapshot from its
-# history, or is its final state when both hit the iteration cap
+# the 1e-14 reference stops after the run (continued), before it (snapshot),
+# or with it at the iteration cap
 _REFERENCE_BRANCHES = {
     "continued": ("--epsilon", "1e-10"),
     "snapshot": ("--epsilon", "1e-16"),
@@ -289,10 +290,10 @@ def test_reference_outputs_match_a_second_solve_bytewise(problem_files, tmp_path
         taken = "snapshot" if fresh.iteration < recorded.iteration else "final state"
     assert taken == branch
 
-    resumed = outputs("resumed")
-    monkeypatch.setattr(solver, "resume", two_solve_reference)
-    assert outputs("two_solves") == resumed
-    assert resumed[0] == (3 if branch == "capped" else 0)
+    one_solve = outputs("one_solve")
+    monkeypatch.setattr(cli, "_recorded_solve", two_solve_reference)
+    assert outputs("two_solves") == one_solve
+    assert one_solve[0] == (3 if branch == "capped" else 0)
 
 
 def test_negative_burn_in_exits_2(problem_files, tmp_path, capsys):
@@ -315,6 +316,41 @@ def test_non_finite_alpha_or_objective_exits_2(tmp_path, capsys, alpha, message)
                      "--labels-out", str(tmp_path / "labels.csv")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, name", [("--alpha", "alpha"), ("--lambda", "lam")])
+def test_subnormal_weight_exits_2(tmp_path, capsys, flag, name):
+    (tmp_path / "pi.csv").write_text("0.3,0.7\n0.6,0.4\n0.5,0.5\n")
+    (tmp_path / "sim.txt").write_text("0,1,0.5\n1,2,0.9\n")
+    code = main(["run", "--pi", str(tmp_path / "pi.csv"),
+                 "--similarity", str(tmp_path / "sim.txt"), flag, "5e-324",
+                 "--labels-out", str(tmp_path / "labels.csv")])
+    assert code == 2
+    assert f"{name} must be 0 or at least" in capsys.readouterr().err
+    assert not (tmp_path / "labels.csv").exists()
+
+
+def test_reference_failure_exits_2_before_writing(problem_files, tmp_path, monkeypatch, capsys):
+    from bregman_consensus import cli, solver
+    from bregman_consensus.exceptions import NonFiniteObjectiveError
+
+    pi, parts, _ = problem_files
+    argv = _run_args(pi, parts, tmp_path, "r", "--alpha", "0.001",
+                     "--diagnostics-out", str(tmp_path / "report.txt"))
+    pi_arr, similarity, config = cli._load_problem(cli.build_parser().parse_args(argv))
+    stop = solver.run(pi_arr, similarity, config)[0].iterations_used
+    real_finite = solver._finite
+
+    def failing_after_the_run(iteration, value):  # J turns non-finite past the user's stop
+        if iteration > stop:
+            raise NonFiniteObjectiveError(f"objective is nan at iteration {iteration}")
+        return real_finite(iteration, value)
+
+    monkeypatch.setattr(solver, "_finite", failing_after_the_run)
+    assert main(argv) == 2
+    assert f"iteration {stop + 1}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_r.csv"))  # neither labels nor trace
+    assert not (tmp_path / "report.txt").exists()
 
 
 @pytest.mark.parametrize("threshold", ["-0.5", "1.5"])

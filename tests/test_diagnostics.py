@@ -132,6 +132,19 @@ def test_hessian_matches_pairwise_oracle_bitwise(token, n, k, layout, alpha, lam
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
 
 
+def test_hessian_keeps_positive_zeros_where_alpha_underflows_a_pair_weight(rng):
+    # alpha * s = 2.2e-325 rounds to 0; -(c alpha kron(S, I) + c lam I) / yr
+    # would store -0.0 there, the pairwise form +0.0
+    n, k = 3, 2
+    similarity = SimilarityMatrix.from_pairs(n, [0, 1], [1, 2], [1e-17, 0.5])
+    config = SolverConfig(divergence=divergence_spec("gen-i", k),
+                          alpha=float(np.finfo(float).tiny), lam=0.3)
+    pi = random_pi("gen-i", rng, n, k)
+    state = _state(interior_points("gen-i", rng, n, k), interior_points("gen-i", rng, n, k))
+    got = hessian_blocks(state, pi, similarity, config).assemble()
+    assert got.tobytes() == pairwise_hessian(state, pi, similarity, config).tobytes()
+
+
 def test_hessian_over_the_cap_raises_shape_error(rng):
     k = 2
     n = MAX_HESSIAN_DIM // (2 * k) + 1

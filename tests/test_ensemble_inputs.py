@@ -146,6 +146,18 @@ class TestSimilarityMatrix:
         for arr in (indptr, indices, data, op.row_sum):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("backing", ["pairs", "partitions"])
+    def test_equality_and_hash_are_by_identity(self, backing):
+        # the generated __eq__ compared the arrays and raised on two matrices
+        def build():
+            if backing == "partitions":
+                return coassociation_similarity(np.arange(12).reshape(6, 2) % 3)
+            return SimilarityMatrix.from_pairs(4, [0, 1], [1, 2], [0.5, 0.25])
+
+        a, b = build(), build()
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_from_dense_roundtrip(self, rng):
         s = random_similarity(rng, 8)
         again = SimilarityMatrix.from_dense(s.to_dense())

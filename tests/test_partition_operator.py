@@ -114,3 +114,38 @@ def test_fit_at_scale_allocates_nothing_quadratic():
         tracemalloc.stop()
     assert model.n_iter_ == 3
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_no_compute_path_enumerates_the_pairs(tmp_path, monkeypatch, rng):
+    from bregman_consensus import ensemble_inputs
+    from bregman_consensus.cli import main
+    from bregman_consensus.diagnostics import hessian_blocks
+    from bregman_consensus.solver import lambda_threshold
+
+    # 36 target nodes and k = 2: small enough for the Hessian and lambda_hat
+    data = tmp_path / "data"
+    assert main(["generate", "--kind", "half-moon", "--n", "40", "--label-fraction", "0.1",
+                 "--seed", "2", "--out-dir", str(data)]) == 0
+
+    def enumerate_pairs(clusters):
+        raise AssertionError("a partition ensemble's pairs were enumerated")
+
+    monkeypatch.setattr(ensemble_inputs, "_coassociation_pairs", enumerate_pairs)
+    inputs = ["--pi", str(data / "pi.csv"), "--partitions", str(data / "partitions.csv"),
+              "--alpha", "0.01"]
+    report = tmp_path / "report.txt"
+    assert main(["run", *inputs, "--labels-out", str(tmp_path / "labels.csv")]) == 0
+    assert main(["run", *inputs, "--labels-out", str(tmp_path / "labels_d.csv"),
+                 "--diagnostics-out", str(report)]) == 0
+    assert "lambda_hat=" in report.read_text()
+    assert main(["diagnose", *inputs, "--report-out", str(report)]) == 0
+    assert "pd=true" in report.read_text() and "lambda_hat=" in report.read_text()
+
+    n, k = 9, 3
+    similarity = coassociation_similarity(rng.integers(0, 3, (n, 4)))
+    pi = random_pi("gen-i", rng, n, k)
+    model = BregmanConsensus(alpha=0.5, epsilon=1e-12).fit(pi, similarity)
+    config = SolverConfig(divergence=divergence_spec("gen-i", k), alpha=0.5, epsilon=1e-12)
+    assert lambda_threshold(pi, similarity, config, model.state_) >= 0.0
+    hessian_blocks(model.state_, pi, similarity, config)
+    assert "_pairs" not in vars(similarity)
