@@ -57,8 +57,9 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--sparsify", type=float, default=0.0,
                    help="drop similarity entries below this threshold")
-    p.add_argument("--threads", type=int, default=0,
-                   help="ignored; accepted for compatibility (the solve runs in one thread)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="must be at least 1; otherwise ignored, since the solve runs in "
+                        "one thread")
 
 
 def _add_input_flags(p: argparse.ArgumentParser):
@@ -116,7 +117,7 @@ def _load_problem(args):
         similarity = load_similarity_triplets(args.similarity, n=pi.shape[0])
     similarity = sparsify(similarity, args.sparsify)
     config = SolverConfig(divergence=spec, alpha=args.alpha, lam=args.lam,
-                          epsilon=args.epsilon, max_iters=args.max_iters)
+                          epsilon=args.epsilon, max_iters=args.max_iters, threads=args.threads)
     return pi, similarity, config
 
 

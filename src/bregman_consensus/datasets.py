@@ -31,7 +31,19 @@ class LabeledDataset:
     points: np.ndarray
     labels: np.ndarray
     k: int
-    seed: int
+
+
+def _two_classes(name, n, noise, seed, place):
+    """``place(m)``'s 2m points, class 0 first, m = n/2, jittered by N(0, noise^2)."""
+    if n % 2 != 0:
+        raise ArgumentError(f"{name} needs an even n, got {n}")
+    if noise < 0:
+        raise ArgumentError(f"noise must be nonnegative, got {noise}")
+    m = n // 2
+    points = place(m)
+    points = points + np.random.default_rng(seed).normal(0.0, noise, points.shape)
+    labels = np.concatenate([np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)])
+    return LabeledDataset(points=points, labels=labels, k=2)
 
 
 def half_moon(n: int, noise: float, seed: int) -> LabeledDataset:
@@ -41,34 +53,22 @@ def half_moon(n: int, noise: float, seed: int) -> LabeledDataset:
     lower arc (1 - cos t, MOON_OFFSET - sin t).  ``n`` must be even; each arc
     carries n/2 points at evenly spaced angles, jittered by N(0, noise^2).
     """
-    if n % 2 != 0:
-        raise ArgumentError(f"half_moon needs an even n, got {n}")
-    if noise < 0:
-        raise ArgumentError(f"noise must be nonnegative, got {noise}")
-    m = n // 2
-    t = np.linspace(0.0, np.pi, m)
-    upper = np.column_stack([np.cos(t), np.sin(t)])
-    lower = np.column_stack([1.0 - np.cos(t), MOON_OFFSET - np.sin(t)])
-    points = np.vstack([upper, lower])
-    points = points + np.random.default_rng(seed).normal(0.0, noise, points.shape)
-    labels = np.concatenate([np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)])
-    return LabeledDataset(points=points, labels=labels, k=2, seed=seed)
+    def arcs(m):
+        t = np.linspace(0.0, np.pi, m)
+        return np.vstack([np.column_stack([np.cos(t), np.sin(t)]),
+                          np.column_stack([1.0 - np.cos(t), MOON_OFFSET - np.sin(t)])])
+
+    return _two_classes("half_moon", n, noise, seed, arcs)
 
 
 def circles(n: int, noise: float, seed: int) -> LabeledDataset:
     """Two concentric circles of radii 1 and 2, n/2 points each."""
-    if n % 2 != 0:
-        raise ArgumentError(f"circles needs an even n, got {n}")
-    if noise < 0:
-        raise ArgumentError(f"noise must be nonnegative, got {noise}")
-    m = n // 2
-    t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    inner = CIRCLE_RADII[0] * np.column_stack([np.cos(t), np.sin(t)])
-    outer = CIRCLE_RADII[1] * np.column_stack([np.cos(t), np.sin(t)])
-    points = np.vstack([inner, outer])
-    points = points + np.random.default_rng(seed).normal(0.0, noise, points.shape)
-    labels = np.concatenate([np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)])
-    return LabeledDataset(points=points, labels=labels, k=2, seed=seed)
+    def rings(m):
+        t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        unit = np.column_stack([np.cos(t), np.sin(t)])
+        return np.vstack([CIRCLE_RADII[0] * unit, CIRCLE_RADII[1] * unit])
+
+    return _two_classes("circles", n, noise, seed, rings)
 
 
 def nearest_centroid_classifier(train: LabeledDataset):
@@ -180,7 +180,7 @@ def synthetic_problem(kind: str, n: int, noise: float, label_fraction: float,
     train_mask[np.asarray(train_idx)] = True
 
     train = LabeledDataset(points=data.points[train_mask], labels=data.labels[train_mask],
-                           k=data.k, seed=seed)
+                           k=data.k)
     target_points = data.points[~train_mask]
     truth = data.labels[~train_mask]
 

@@ -294,13 +294,9 @@ class DivergenceSpec:
 
     def bregman_dual(self, a, b):
         """Bregman divergence of psi; grad psi is the gradient inverse of phi."""
-        a = self._check_dual(np.asarray(a, dtype=np.float64))
-        b = self._check_dual(np.asarray(b, dtype=np.float64))
-        pb = self.clamp(self._rule.grad_inv(b))
-        pa = self.clamp(self._rule.grad_inv(a))
-        psi_a = np.sum(a * pa, axis=-1) - np.sum(self._rule.phi_terms(pa), axis=-1)
-        psi_b = np.sum(b * pb, axis=-1) - np.sum(self._rule.phi_terms(pb), axis=-1)
-        return psi_a - psi_b - np.sum((a - b) * pb, axis=-1)
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        return self.psi(a) - self.psi(b) - np.sum((a - b) * self.grad_inv(b), axis=-1)
 
 
 def divergence_spec(kind, dimension, domain_floor=1e-12) -> DivergenceSpec:

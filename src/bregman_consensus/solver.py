@@ -27,16 +27,18 @@ Divergences", JMLR 2005)::
 
 The left sweep already forms ``S grad phi(yr)`` for the same right copies,
 so each iteration's objective costs O(n k) on top of the sweeps; a bare
-objective call costs one product of S with an n-by-k matrix.  What is
-constant for a run is formed once per :func:`run`: pi clamped, phi(pi) per
-coordinate, the right-sweep denominator ``1 + alpha r + lam`` and the left
-sweep's safe denominator with its inactive rows.  Each Bregman term is
-differenced per coordinate and each of the objective's three terms (fit,
-pair, coupling) is reduced by one whole-array sum, so beyond its two
-products with S an iteration makes a fixed, small number of O(n k)
-elementwise passes.  The solver,
-the objective and the diagnostics read the similarity only through its
-operator (``n``, ``row_sum``, ``matvec``), built once per
+objective call costs one product of S with an n-by-k matrix.
+
+What is constant for a problem is formed once, by one private object that
+every public entry builds.  It checks pi as :func:`run` documents, so all
+entries reject a bad pi alike, and holds pi clamped, phi(pi) per
+coordinate, the similarity's operator with its row sums and both sweeps'
+denominators.  Each Bregman term is differenced per coordinate and each of
+the objective's three terms (fit, pair, coupling) is reduced by one
+whole-array sum, so beyond its two products with S an iteration makes a
+fixed, small number of O(n k) elementwise passes.  The solver and the
+diagnostics read the similarity only through its operator (``n``,
+``row_sum``, ``matvec``), built once per
 :class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix`: a symmetrized
 CSR for stored pairs, O(nnz k) per product, or the partition-factored
 co-association, O(n k r2) per product.
@@ -70,6 +72,8 @@ from .exceptions import (ArgumentError, DivisionDegenerateError, DomainError,
 
 _TRACE_GUARD = 1e-300  # denominator guard for the relative objective test
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal weight the sweeps accept
+_J0_MAX_ITERS = 20000  # iteration cap of minimize_j0
+_J0_TOL = 1e-12  # minimize_j0's bound on the last move and on the relative drop
 
 
 @dataclass
@@ -128,24 +132,45 @@ class Labeling:
     converged: bool
 
 
-class _Sweeps:
-    """Both closed-form half-steps, with their per-run denominators formed once.
+class _Problem:
+    """One problem's constants (see the module docstring), half-steps, J and J0's gradient.
 
-    Rows whose left weights ``alpha * r_i + lam`` vanish are inactive: their
-    left copy keeps its old value.
+    ``pi`` is checked here, as :func:`run` documents.  ``pi=None``
+    (:func:`update_left`) skips the check and the pi constants: the left
+    sweep never reads pi.  Rows whose left weights ``alpha r_i + lam``
+    vanish are inactive: their left copy keeps its old value.
     """
 
-    def __init__(self, op, spec, alpha, lam):
-        self.op, self.spec, self.alpha, self.lam = op, spec, alpha, lam
-        self.right_denom = (1.0 + alpha * op.row_sum + lam)[:, None]
-        left = alpha * op.row_sum + lam
+    def __init__(self, pi, similarity, config):
+        spec = config.divergence
+        self.spec, self.alpha, self.lam = spec, config.alpha, config.lam
+        if pi is not None:
+            raw = np.asarray(pi, dtype=np.float64)
+            pi = validate_probabilities(spec, raw)
+            if spec.simplex_domain:
+                sums = raw.sum(axis=1)  # before clamping, which moves exact rows off the simplex
+                off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
+                if off.size:
+                    row = int(off[0])
+                    raise DomainError(f"{spec.kind.value}: pi row {row} sums to "
+                                      f"{float(sums[row])!r}, not 1; normalize the rows first")
+            if similarity.n != pi.shape[0]:
+                raise ShapeError(f"similarity is over {similarity.n} instances, "
+                                 f"pi over {pi.shape[0]}")
+            self.pi, self.phi_pi = pi, spec.phi_terms(pi)
+        self.op = similarity.operator
+        r = self.op.row_sum
+        self.row_sum = r[:, None]
+        self.right_denom = (1.0 + self.alpha * r + self.lam)[:, None]
+        left = self.alpha * r + self.lam
         self.inactive = np.flatnonzero(left <= 0.0)
         self.left_denom = np.where(left > 0.0, left, 1.0)[:, None]
         self.ones = np.ones(spec.dimension)
 
-    def right(self, pi, y_left):
+    def right(self, y_left):
         """All right copies at once: weighted means of pi, neighbours and own left copy."""
-        return (pi + self.alpha * self.op.matvec(y_left) + self.lam * y_left) / self.right_denom
+        nbr = self.op.matvec(y_left)
+        return (self.pi + self.alpha * nbr + self.lam * y_left) / self.right_denom
 
     def left(self, grad_right, y_left):
         """All left copies at once, plus ``S grad phi(yr)`` for the objective.
@@ -163,26 +188,7 @@ class _Sweeps:
         updated[self.inactive] = y_left[self.inactive]
         return updated, nbr
 
-
-class _Objective:
-    """Split objective J with its per-run constants (pi clamped, phi(pi), r) formed once.
-
-    Each Bregman term is differenced per coordinate before the one sum per
-    term.  The differences stay local on purpose: near the alpha = 0 fixed
-    point the terms cancel to rounding, and regrouping them into global sums
-    (sum phi(pi) - sum phi(yr) - ...) raises J's noise floor about tenfold.
-    """
-
-    def __init__(self, pi, similarity, config):
-        spec = config.divergence
-        self.spec, self.alpha, self.lam = spec, config.alpha, config.lam
-        self.phi_pi = spec.phi_terms(pi)
-        self.pi = spec.clamp(pi)
-        if self.alpha > 0.0:
-            self.op = similarity.operator
-            self.row_sum = self.op.row_sum[:, None]
-
-    def __call__(self, y_left, y_right, lam=None, grad_right=None, nbr_grad=None):
+    def objective(self, y_left, y_right, lam=None, grad_right=None, nbr_grad=None):
         """J at the given copies; ``lam`` overrides the coupling.
 
         One array passed as both copies (the single-copy objective J0) has
@@ -192,6 +198,12 @@ class _Objective:
         product with the similarity) may be passed in when the caller
         already has them.  The pair term is a weighted sum of divergences,
         so it is clamped at 0 against rounding.
+
+        Each Bregman term is differenced per coordinate before the one sum
+        per term.  The differences stay local on purpose: near the alpha = 0
+        fixed point the terms cancel to rounding, and regrouping them into
+        global sums (sum phi(pi) - sum phi(yr) - ...) raises J's noise floor
+        about tenfold.
         """
         spec = self.spec
         lam = self.lam if lam is None else lam
@@ -213,22 +225,29 @@ class _Objective:
             total += lam * float(np.sum(phi_l - phi_r - (y_left - y_right) * grad_right))
         return total
 
-
-def _objective(y_left, y_right, pi, similarity, config, lam=None,
-               grad_right=None, nbr_grad=None):
-    """One evaluation of J; see :class:`_Objective` for the arguments."""
-    return _Objective(pi, similarity, config)(y_left, y_right, lam, grad_right, nbr_grad)
+    def grad_j0(self, Y):
+        """Gradient of the single-copy objective J0 at ``Y``."""
+        spec = self.spec
+        G = spec.grad(Y)
+        H = spec.hess_diag(Y)
+        grad = H * (Y - self.pi)
+        if self.alpha > 0.0:
+            nbr_g = self.op.matvec(G)
+            nbr_y = self.op.matvec(Y)
+            grad += self.alpha * (self.row_sum * G - nbr_g)  # first-argument occurrences
+            grad += self.alpha * H * (self.row_sum * Y - nbr_y)  # second-argument occurrences
+        return grad
 
 
 def objective_j0(Y, pi, similarity, config) -> float:
     """Single-copy objective: fit term plus the similarity-weighted pair term."""
     Y = np.asarray(Y, dtype=np.float64)
-    return _objective(Y, Y, pi, similarity, config, lam=0.0)
+    return _Problem(pi, similarity, config).objective(Y, Y, lam=0.0)
 
 
 def objective_j(state: SolverState, pi, similarity, config) -> float:
     """Split objective over the state's left and right copies."""
-    return _objective(state.y_left, state.y_right, pi, similarity, config)
+    return _Problem(pi, similarity, config).objective(state.y_left, state.y_right)
 
 
 def update_right(j: int, state: SolverState, pi, similarity, config) -> np.ndarray:
@@ -236,8 +255,7 @@ def update_right(j: int, state: SolverState, pi, similarity, config) -> np.ndarr
 
     This is row ``j`` of a full right sweep, so one call costs a whole sweep.
     """
-    sweeps = _Sweeps(similarity.operator, config.divergence, config.alpha, config.lam)
-    return sweeps.right(np.asarray(pi, dtype=np.float64), state.y_left)[j]
+    return _Problem(pi, similarity, config).right(state.y_left)[j]
 
 
 def update_left(i: int, state: SolverState, similarity, config) -> np.ndarray:
@@ -249,9 +267,8 @@ def update_left(i: int, state: SolverState, similarity, config) -> np.ndarray:
     vacuous and the old copy is returned unchanged.  This is row ``i`` of a
     full left sweep, so one call costs a whole sweep.
     """
-    spec = config.divergence
-    sweeps = _Sweeps(similarity.operator, spec, config.alpha, config.lam)
-    y_left, _ = sweeps.left(spec.grad(state.y_right), state.y_left)
+    problem = _Problem(None, similarity, config)
+    y_left, _ = problem.left(config.divergence.grad(state.y_right), state.y_left)
     return y_left[i]
 
 
@@ -305,10 +322,14 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     Parameters
     ----------
     pi : (n, k) array
-        Averaged classifier probabilities.  For the simplex-domain kind
-        (``kl``) every row must sum to 1 within ``SIMPLEX_ATOL``, or
-        ``DomainError`` is raised; ``estimator.check_probabilities``
-        normalizes rows first.
+        Averaged classifier probabilities: finite, with ``similarity.n``
+        rows and the divergence's dimension as columns, or ``ShapeError``
+        is raised, and inside the domain up to the clamping floor, or
+        ``DomainError`` is raised.  For the simplex-domain kind (``kl``)
+        every row must also sum to 1 within ``SIMPLEX_ATOL`` before
+        clamping, or ``DomainError`` is raised;
+        ``estimator.check_probabilities`` normalizes rows first.  Every
+        public entry of this module that takes ``pi`` checks it this way.
     similarity : SimilarityMatrix
         Co-association weights over the same n instances.
     config : SolverConfig
@@ -320,33 +341,21 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     -------
     (Labeling, SolverState)
     """
-    spec = config.divergence
-    raw = np.asarray(pi, dtype=np.float64)
-    pi = validate_probabilities(spec, raw)
-    if spec.simplex_domain:
-        sums = raw.sum(axis=1)  # before clamping, which moves exact rows off the simplex
-        off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
-        if off.size:
-            row = int(off[0])
-            raise DomainError(f"{spec.kind.value}: pi row {row} sums to {float(sums[row])!r}, "
-                              "not 1; normalize the rows first")
-    if similarity.n != pi.shape[0]:
-        raise ShapeError(f"similarity is over {similarity.n} instances, pi over {pi.shape[0]}")
-    n, k = pi.shape
-    objective = _Objective(pi, similarity, config)
-    sweeps = _Sweeps(similarity.operator, spec, config.alpha, config.lam)
+    problem = _Problem(pi, similarity, config)
+    spec = problem.spec
+    n, k = problem.pi.shape
     y_left = np.full((n, k), 1.0 / k)
     y_right = np.full((n, k), 1.0 / k)
-    trace = [_finite(0, objective(y_left, y_right))]
+    trace = [_finite(0, problem.objective(y_left, y_right))]
     history = [(y_left.copy(), y_right.copy())] if record_copies else None
     converged = False
     iteration = 0
     for iteration in range(1, config.max_iters + 1):
-        y_right = sweeps.right(pi, y_left)
+        y_right = problem.right(y_left)
         grad_right = spec.grad(y_right)
-        y_left, nbr_grad = sweeps.left(grad_right, y_left)
-        value = _finite(iteration, objective(y_left, y_right, grad_right=grad_right,
-                                             nbr_grad=nbr_grad))
+        y_left, nbr_grad = problem.left(grad_right, y_left)
+        value = _finite(iteration, problem.objective(y_left, y_right, grad_right=grad_right,
+                                                     nbr_grad=nbr_grad))
         trace.append(value)
         if history is not None:
             history.append((y_left.copy(), y_right.copy()))
@@ -389,20 +398,6 @@ def prefix(state: SolverState, config: SolverConfig):
 # -- threshold for copy coalescence ------------------------------------------
 
 
-def _grad_j0(Y, pi, op, config):
-    spec = config.divergence
-    G = spec.grad(Y)
-    H = spec.hess_diag(Y)
-    grad = H * (Y - pi)
-    if config.alpha > 0.0:
-        rs = op.row_sum[:, None]
-        nbr_g = op.matvec(G)
-        nbr_y = op.matvec(Y)
-        grad += config.alpha * (rs * G - nbr_g)  # first-argument occurrences
-        grad += config.alpha * H * (rs * Y - nbr_y)  # second-argument occurrences
-    return grad
-
-
 def _project_simplex(v):
     """Euclidean projection of each row onto the probability simplex."""
     n, k = v.shape
@@ -423,36 +418,39 @@ def _project_domain(Y, spec):
     return spec.clamp(Y)
 
 
-def minimize_j0(pi, similarity, config, y0=None, max_iters=20000, tol=1e-12):
+def minimize_j0(pi, similarity, config):
     """Spectral projected-gradient minimizer of the single-copy objective J0.
 
-    Each iteration tries the Barzilai-Borwein step ``s's / s'y`` first, with
-    ``s`` the last accepted move and ``y`` the change of the gradient along
-    it, clipped to [1e-10, 1e6]; on the first iteration it tries 1, and when
-    ``s'y <= 0`` twice the last accepted step.  The trial is halved, at most
-    60 times, until the projected point lowers J0 (plain decrease); the
-    loop ends when no halving does, or when the largest coordinate move is
-    below ``tol`` and the drop in J0 below ``tol * max(1, |J0|)``.  The
-    gradient at an accepted point is the next iteration's gradient.
+    The descent starts at pi projected onto the domain.  Each iteration
+    tries the Barzilai-Borwein step ``s's / s'y`` first, with ``s`` the last
+    accepted move and ``y`` the change of the gradient along it, clipped to
+    [1e-10, 1e6]; on the first iteration it tries 1, and when ``s'y <= 0``
+    twice the last accepted step.  The trial is halved, at most 60 times,
+    until the projected point lowers J0 (plain decrease); the loop ends when
+    no halving does, after :data:`_J0_MAX_ITERS` iterations, or when the
+    largest coordinate move is below :data:`_J0_TOL` and the drop in J0
+    below ``_J0_TOL * max(1, |J0|)``.  The gradient at an accepted point is
+    the next iteration's gradient.
 
     Barzilai & Borwein, IMA J. Numer. Anal. 1988; Birgin, Martinez &
     Raydan, SIAM J. Optim. 2000.  Used by :func:`lambda_threshold` when no
     minimizer is supplied.
     """
-    spec = config.divergence
-    pi = spec.clamp(np.asarray(pi, dtype=np.float64))
-    objective = _Objective(pi, similarity, config)
-    op = similarity.operator
-    Y = _project_domain(pi.copy() if y0 is None else np.asarray(y0, dtype=np.float64), spec)
-    value = objective(Y, Y, lam=0.0)
-    g = _grad_j0(Y, pi, op, config)
+    return _minimize_j0(_Problem(pi, similarity, config))
+
+
+def _minimize_j0(problem):
+    spec = problem.spec
+    Y = _project_domain(problem.pi.copy(), spec)
+    value = problem.objective(Y, Y, lam=0.0)
+    g = problem.grad_j0(Y)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(_J0_MAX_ITERS):
         improved = False
         trial = step
         for _ in range(60):  # backtrack until the projected step descends
             Y_new = _project_domain(Y - trial * g, spec)
-            v_new = objective(Y_new, Y_new, lam=0.0)
+            v_new = problem.objective(Y_new, Y_new, lam=0.0)
             if v_new < value:
                 improved = True
                 break
@@ -461,9 +459,9 @@ def minimize_j0(pi, similarity, config, y0=None, max_iters=20000, tol=1e-12):
             break
         move = float(np.abs(Y_new - Y).max())
         drop = value - v_new
-        if move < tol and drop < tol * max(1.0, abs(v_new)):
+        if move < _J0_TOL and drop < _J0_TOL * max(1.0, abs(v_new)):
             return Y_new
-        g_new = _grad_j0(Y_new, pi, op, config)
+        g_new = problem.grad_j0(Y_new)
         s, y = Y_new - Y, g_new - g
         sy = float(np.vdot(s, y))
         if sy > 0.0:
@@ -490,15 +488,14 @@ def lambda_threshold(pi, similarity, config, state: SolverState, j0_minimizer=No
     divided by the copy gap: under a permutation of the nodes or a change of
     step rule it moved by about 1e-13 relative on random problems.
     """
-    spec = config.divergence
-    per_row = np.atleast_1d(spec.bregman(state.y_left, state.y_right))
+    problem = _Problem(pi, similarity, config)
+    per_row = np.atleast_1d(problem.spec.bregman(state.y_left, state.y_right))
     if float(per_row.max()) <= 1e-9:
         return config.lam
-    y_star = j0_minimizer if j0_minimizer is not None else minimize_j0(pi, similarity, config)
-    objective = _Objective(pi, similarity, config)
+    y_star = _minimize_j0(problem) if j0_minimizer is None else j0_minimizer
     y_star = np.asarray(y_star, dtype=np.float64)
-    numerator = (objective(y_star, y_star, lam=0.0)
-                 - objective(state.y_left, state.y_right, lam=0.0))
+    numerator = (problem.objective(y_star, y_star, lam=0.0)
+                 - problem.objective(state.y_left, state.y_right, lam=0.0))
     denominator = float(per_row.sum())
     if denominator < 1e-15:
         raise DivisionDegenerateError(

@@ -300,21 +300,21 @@ def doubling_minimize_j0(pi, similarity, config, max_iters=20000, tol=1e-12):
     last accepted step, capped at 1e6.  The gradient is recomputed at the
     top of every iteration.
     """
-    from bregman_consensus.solver import _Objective, _grad_j0, _project_domain
+    from bregman_consensus.solver import _Problem, _project_domain
 
     spec = config.divergence
     pi = spec.clamp(np.asarray(pi, dtype=np.float64))
-    objective = _Objective(pi, similarity, config)
+    problem = _Problem(pi, similarity, config)
     Y = _project_domain(pi.copy(), spec)
-    value = objective(Y, Y, lam=0.0)
+    value = problem.objective(Y, Y, lam=0.0)
     step = 1.0
     for _ in range(max_iters):
-        g = _grad_j0(Y, pi, similarity.operator, config)
+        g = problem.grad_j0(Y)
         improved = False
         trial = step
         for _ in range(60):
             Y_new = _project_domain(Y - trial * g, spec)
-            v_new = objective(Y_new, Y_new, lam=0.0)
+            v_new = problem.objective(Y_new, Y_new, lam=0.0)
             if v_new < value:
                 improved = True
                 break

@@ -230,13 +230,13 @@ def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypa
     assert fresh.iteration > recorded[1].iteration  # the reference goes past the main solve
 
     sweeps = []
-    real_right = solver._Sweeps.right
+    real_right = solver._Problem.right
 
     def counting_right(self, *args):
         sweeps.append(1)
         return real_right(self, *args)
 
-    monkeypatch.setattr(solver._Sweeps, "right", counting_right)
+    monkeypatch.setattr(solver._Problem, "right", counting_right)
     assert main(argv) == 0
     # one recorded solve, as long as the fresh 1e-14 run
     assert len(sweeps) == fresh.iteration
@@ -328,6 +328,21 @@ def test_subnormal_weight_exits_2(tmp_path, capsys, flag, name):
     assert code == 2
     assert f"{name} must be 0 or at least" in capsys.readouterr().err
     assert not (tmp_path / "labels.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
+    # SolverConfig(threads=-3) raises; the command line used to drop the value and exit 0
+    (tmp_path / "pi.csv").write_text("0.3,0.7\n0.6,0.4\n0.5,0.5\n")
+    (tmp_path / "sim.txt").write_text("0,1,0.5\n1,2,0.9\n")
+    out = tmp_path / "out.txt"
+    code = main([command, "--pi", str(tmp_path / "pi.csv"),
+                 "--similarity", str(tmp_path / "sim.txt"), "--threads", threads,
+                 "--labels-out" if command == "run" else "--report-out", str(out)])
+    assert code == 2
+    assert f"threads must be positive, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reference_failure_exits_2_before_writing(problem_files, tmp_path, monkeypatch, capsys):

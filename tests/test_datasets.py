@@ -67,26 +67,25 @@ class TestCircles:
 class TestNearestCentroid:
     def test_dominant_probability_at_centroid(self):
         train = LabeledDataset(points=np.array([[0.0, 0.0], [5.0, 0.0]]),
-                               labels=np.array([0, 1]), k=2, seed=0)
+                               labels=np.array([0, 1]), k=2)
         probs = nearest_centroid_classifier(train)(np.array([[0.0, 0.0]]))
         assert probs[0, 0] > 0.99
 
     def test_equidistant_point_splits_evenly(self):
         train = LabeledDataset(points=np.array([[-1.0, 0.0], [1.0, 0.0]]),
-                               labels=np.array([0, 1]), k=2, seed=0)
+                               labels=np.array([0, 1]), k=2)
         probs = nearest_centroid_classifier(train)(np.array([[0.0, 3.0]]))
         np.testing.assert_allclose(probs[0], [0.5, 0.5], atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
         train = LabeledDataset(points=rng.normal(size=(30, 2)),
-                               labels=rng.integers(0, 3, 30), k=3, seed=0)
+                               labels=rng.integers(0, 3, 30), k=3)
         probs = nearest_centroid_classifier(train)(rng.normal(size=(100, 2)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs >= 0.0)
 
     def test_missing_class_raises(self):
-        train = LabeledDataset(points=np.zeros((3, 2)), labels=np.zeros(3, dtype=int),
-                               k=2, seed=0)
+        train = LabeledDataset(points=np.zeros((3, 2)), labels=np.zeros(3, dtype=int), k=2)
         with pytest.raises(MissingClassError):
             nearest_centroid_classifier(train)
 

@@ -21,7 +21,7 @@ from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix
 from bregman_consensus.exceptions import (ArgumentError, InsufficientTraceError, ShapeError,
                                          UnsupportedDivergenceError)
-from bregman_consensus.solver import SolverConfig, SolverState, _objective, run
+from bregman_consensus.solver import SolverConfig, SolverState, _Problem, run
 
 from conftest import (LAYOUTS, grad_objective, interior_points, layout_similarity,
                       pairwise_hessian, random_instance, random_pi, random_similarity,
@@ -265,7 +265,8 @@ class TestDeltaJ:
             yr = interior_points("gen-i", rng, 4, 3)
             st = _state(yl, yr)
             yl_star = np.stack([update_left(i, st, s, cfg) for i in range(4)])
-            drop = (_objective(yl, yr, pi, s, cfg) - _objective(yl_star, yr, pi, s, cfg))
+            problem = _Problem(pi, s, cfg)
+            drop = problem.objective(yl, yr) - problem.objective(yl_star, yr)
             assert drop >= delta_j(yl, yl_star, s, cfg) - 1e-10
 
     def test_monitor_non_increasing_along_trajectory(self, rng):
@@ -300,4 +301,4 @@ def _grad_at(z, n, k, pi, s, cfg):
 
 def _objective_at(z, n, k, pi, s, cfg):
     z = z.reshape(2, n, k)
-    return _objective(z[0], z[1], pi, s, cfg)
+    return _Problem(pi, s, cfg).objective(z[0], z[1])

@@ -10,7 +10,7 @@ from bregman_consensus.estimator import check_probabilities
 from bregman_consensus.solver import (
     SolverConfig,
     SolverState,
-    _objective,
+    _Problem,
     objective_j,
     objective_j0,
     run,
@@ -39,17 +39,18 @@ def test_objectives_match_pairwise_oracle(token, n, k, layout, alpha, lam, seed)
         assert got >= 0.0  # a weighted sum of divergences, rounding included
         assert abs(got - want) <= 1e-12 + 1e-10 * abs(want), (got, want)
 
-    close(_objective(yl, yr, pi, similarity, config),
+    problem = _Problem(pi, similarity, config)
+    close(problem.objective(yl, yr),
           pairwise_objective(yl, yr, pi, similarity, config))
-    close(_objective(yl, yr, pi, similarity, config, lam=0.0),
+    close(problem.objective(yl, yr, lam=0.0),
           pairwise_objective(yl, yr, pi, similarity, config, lam=0.0))
     close(objective_j(state, pi, similarity, config),
           pairwise_objective(yl, yr, pi, similarity, config))
     close(objective_j0(yr, pi, similarity, config),
           pairwise_objective(yr, yr, pi, similarity, config, lam=0.0))
     # one array as both copies takes the shared phi terms and clamp: same bits
-    assert objective_j0(yr, pi, similarity, config) == _objective(
-        yr, yr.copy(), pi, similarity, config, lam=0.0)
+    assert objective_j0(yr, pi, similarity, config) == problem.objective(
+        yr, yr.copy(), lam=0.0)
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)

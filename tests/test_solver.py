@@ -16,9 +16,8 @@ from bregman_consensus.solver import (
     Labeling,
     SolverConfig,
     SolverState,
-    _grad_j0,
+    _Problem,
     _project_domain,
-    _Sweeps,
     lambda_threshold,
     minimize_j0,
     objective_j,
@@ -203,7 +202,8 @@ class TestLeftSweepInactiveRows:
         op = similarity.operator
         # the placeholder dual must stay in range: itakura-saito and
         # bose-einstein would raise RangeError otherwise
-        got, nbr = _Sweeps(op, spec, alpha, lam).left(grad_right, y_left)
+        config = SolverConfig(divergence=spec, alpha=alpha, lam=lam)
+        got, nbr = _Problem(None, similarity, config).left(grad_right, y_left)
         want, want_nbr = where_left_sweep(grad_right, op, spec, y_left, alpha, lam)
         inactive = np.zeros(n, dtype=bool)
         if lam == 0.0:
@@ -387,6 +387,50 @@ class TestRun:
         np.testing.assert_allclose(labeling.probabilities.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _with_entry(value):
+    def bad(pi):
+        pi = pi.copy()
+        pi[0, 0] = value
+        return pi
+    return bad
+
+
+# divergence and the change that makes a valid 3-by-2 pi invalid
+_BAD_PI = {
+    "nan-entry": ("gen-i", _with_entry(np.nan)),
+    "out-of-domain": ("gen-i", _with_entry(-5.0)),
+    "wrong-k": ("gen-i", lambda pi: np.hstack([pi, pi[:, :1]])),
+    "wrong-n": ("gen-i", lambda pi: np.vstack([pi, pi[:1]])),
+    "kl-off-simplex": ("kl", lambda pi: pi * np.array([[1.2], [1.0], [1.0]])),
+}
+_PI_ENTRIES = {
+    "objective_j": lambda pi, s, cfg, state: objective_j(state, pi, s, cfg),
+    "objective_j0": lambda pi, s, cfg, state: objective_j0(state.y_right, pi, s, cfg),
+    "update_right": lambda pi, s, cfg, state: update_right(0, state, pi, s, cfg),
+    "minimize_j0": lambda pi, s, cfg, state: minimize_j0(pi, s, cfg),
+    "lambda_threshold": lambda pi, s, cfg, state: lambda_threshold(pi, s, cfg, state),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PI_ENTRIES))
+@pytest.mark.parametrize("case", sorted(_BAD_PI))
+def test_every_entry_rejects_a_bad_pi_as_run_does(case, entry, rng):
+    # update_right used to return [nan, 0.5] for a NaN entry and minimize_j0
+    # to clamp a -5 silently, where run raised ShapeError and DomainError
+    token, corrupt = _BAD_PI[case]
+    pi = interior_points(token, rng, 3, 2)
+    s = random_similarity(rng, 3, density=1.0)
+    cfg = SolverConfig(divergence=divergence_spec(token, 2), alpha=0.5, lam=0.1)
+    _, state = run(pi, s, cfg)
+    bad = corrupt(pi)
+    with pytest.raises(BregmanConsensusError) as from_run:
+        run(bad, s, cfg)
+    with pytest.raises(BregmanConsensusError) as from_entry:
+        _PI_ENTRIES[entry](bad, s, cfg, state)
+    assert type(from_entry.value) is type(from_run.value)
+    assert str(from_entry.value) == str(from_run.value)
+
+
 class TestLambdaThreshold:
     def test_coinciding_copies_return_current_lam(self, rng):
         pi = random_pi("gen-i", rng, 4, 2)
@@ -408,9 +452,8 @@ class TestLambdaThreshold:
 
         # independent oracle: finite-difference projected gradient on J0
         y_star = fd_projected_gradient_j0(pi, s, cfg)
-        from bregman_consensus.solver import _objective
-        num = objective_j0(y_star, pi, s, cfg) - _objective(
-            state.y_left, state.y_right, pi, s, cfg, lam=0.0)
+        num = objective_j0(y_star, pi, s, cfg) - _Problem(pi, s, cfg).objective(
+            state.y_left, state.y_right, lam=0.0)
         oracle = num / float(gap.sum())
         assert value == pytest.approx(oracle, rel=1e-4, abs=1e-8)
 
@@ -449,7 +492,7 @@ def test_bb_minimize_j0_matches_doubling_oracle(token, n, k, alpha, lam, partiti
     spec = cfg.divergence
     y = minimize_j0(pi, s, cfg)
     # first-order stationary: measured at most 2.0e-7 on 700 random problems
-    grad = _grad_j0(y, spec.clamp(pi), s.operator, cfg)
+    grad = _Problem(pi, s, cfg).grad_j0(y)
     assert float(np.abs(y - _project_domain(y - grad, spec)).max()) <= 1e-5
 
     oracle = doubling_minimize_j0(pi, s, cfg)
