@@ -24,7 +24,7 @@ from .divergences import DivergenceKind
 from .ensemble_inputs import SimilarityMatrix
 from .exceptions import (ArgumentError, InsufficientTraceError, ShapeError,
                          UnsupportedDivergenceError)
-from .solver import SolverConfig, SolverState
+from .solver import SolverConfig, SolverState, _finite_of_shape, _Problem
 
 _HESSIAN_KINDS = (DivergenceKind.KL, DivergenceKind.GENERALIZED_I)
 MAX_HESSIAN_DIM = 200  # diagnostics are desk-scale verifiers, not production paths
@@ -75,24 +75,27 @@ def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
         LR = -(c alpha kron(S, I_k) + c lam I_nk) / yr, column by column
 
     Only the two entropy-type kinds have these closed forms; other kinds
-    raise :class:`UnsupportedDivergenceError`.  A matrix wider than
-    :data:`MAX_HESSIAN_DIM` raises :class:`ShapeError` before anything is
-    allocated.
+    raise :class:`UnsupportedDivergenceError`.  ``pi`` is checked as
+    :func:`~bregman_consensus.solver.run` checks it, and the state's copies
+    must be finite and (n, k), or :class:`ShapeError` is raised.  A matrix
+    wider than :data:`MAX_HESSIAN_DIM` raises :class:`ShapeError` before it
+    is allocated.
     """
     spec = config.divergence
     if spec.kind not in _HESSIAN_KINDS:
         raise UnsupportedDivergenceError(
             f"analytic Hessian blocks exist only for kl/gen-i, not {spec.kind.value}"
         )
-    yl, yr = state.y_left, state.y_right
+    problem = _Problem(pi, similarity, config)
+    yl, yr = problem.copies(y_left=state.y_left, y_right=state.y_right)
     n, k = yl.shape
     if not hessian_fits(n, k):
         raise ShapeError(f"Hessian dimension {2 * n * k} exceeds the desk-scale cap "
                          f"{MAX_HESSIAN_DIM}")
-    pi = np.asarray(pi, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)  # as given: the clamp would move the blocks
     c = spec.curvature_scale
     alpha, lam = config.alpha, config.lam
-    op = similarity.operator
+    op = problem.op
     left = c * (alpha * op.row_sum[:, None] + lam) / yl
     right = c * (pi + alpha * op.matvec(yl) + lam * yl) / yr ** 2
     # 0 - x: absent entries, and entries that underflow, stay +0.0
@@ -114,12 +117,15 @@ def quadratic_form_identity(blocks: HessianBlocks, state: SolverState, pi):
     """Evaluate z' H z at z = (left copies, right copies) itself.
 
     For the entropy-type Hessian this telescopes to ``scale * sum(pi)``.
-    Returns ``(value, expected, residual)``.
+    Returns ``(value, expected, residual)``.  A ``pi`` or a copy that is not
+    finite or not of the blocks' shape (n, k) raises :class:`ShapeError`.
     """
-    z = np.concatenate([state.y_left.ravel(), state.y_right.ravel()])
+    pi, yl, yr = _finite_of_shape((blocks.n, blocks.k), pi=pi, y_left=state.y_left,
+                                  y_right=state.y_right)
+    z = np.concatenate([yl.ravel(), yr.ravel()])
     H = blocks.assemble()
     value = float(z @ H @ z)
-    expected = blocks.scale * float(np.asarray(pi).sum())
+    expected = blocks.scale * float(pi.sum())
     return value, expected, abs(value - expected)
 
 

@@ -13,8 +13,10 @@ with an absent (zero) diagonal and is read by the solver only through its
 * partitions: ``coassociation_similarity`` keeps the n-by-r2 cluster ids,
   since the co-association is the ensemble's membership hypergraph
   S = (1/r2) sum_c B_c B_c^T - I (Strehl & Ghosh, "Cluster Ensembles", JMLR
-  2002).  The operator is :class:`PartitionOperator`, O(n k r2) per product,
-  and the pairs are enumerated only when ``rows``/``cols``/``vals`` are read.
+  2002).  The operator is :class:`PartitionOperator`: one grouped sum per
+  partition, O(n k r2) per product, over bins kept per product width (r2 n m
+  integers for width m).  The pairs are enumerated only when
+  ``rows``/``cols``/``vals`` are read.
 
 Data files share one comma-separated grammar: a leading UTF-8 byte-order
 mark is ignored, blank and whitespace-only lines are skipped, the first
@@ -258,8 +260,10 @@ class SimilarityOperator:
     def matvec(self, Y: np.ndarray) -> np.ndarray:
         """``S @ Y`` for an (n, m) array, one column at a time.
 
-        Each row reduces its own contiguous slice in ascending column order;
-        empty rows contribute zero.
+        Each row reduces its own contiguous slice with ``np.add.reduceat``,
+        which does not add left to right (it may pair terms up); its order
+        is fixed for a given operator, so a product repeats bit for bit.
+        Empty rows contribute zero.
         """
         out = np.zeros((self.n, Y.shape[1]))
         for c in range(Y.shape[1]):
@@ -272,9 +276,15 @@ class PartitionOperator:
     """The co-association ``S = (1/r2) sum_c B_c B_c^T - I``, never formed.
 
     ``clusters`` is (n, r2), each column relabelled to 0..m_c-1.  A product
-    is one grouped sum per partition and column, O(n k r2) in all::
+    is one grouped sum per partition, O(n k r2) in all::
 
         (S Y)_i = (1/r2) sum_c (sum_{j in C_c(i)} Y_j - Y_i)
+
+    For an (n, m) ``Y`` read row-major, entry (i, col) of partition c falls
+    in bin ``cluster_c(i) * m + col``, so one ``np.bincount`` sums every
+    (cluster, column) pair of a partition.  The bins of each width m are
+    formed on first use and kept, r2 n m integers per width; the solve uses
+    k, ``row_sum`` 1 (the cluster ids themselves) and the Hessian's S I n.
 
     ``Y_i`` is taken out inside each partition's term, so a singleton
     cluster adds exactly 0 and a node never co-clustered gets a zero row and
@@ -283,19 +293,33 @@ class PartitionOperator:
 
     def __init__(self, clusters: np.ndarray):
         self.n, self._r2 = clusters.shape
-        self._columns = [np.ascontiguousarray(ids) for ids in clusters.T]
+        self._bins = {1: [np.ascontiguousarray(ids) for ids in clusters.T]}
         self.row_sum = self.matvec(np.ones((self.n, 1)))[:, 0]
         self.row_sum.setflags(write=False)
 
+    def _bins_of_width(self, m: int) -> list:
+        bins = self._bins.get(m)
+        if bins is None:
+            columns = np.arange(m)
+            bins = [(ids[:, None] * m + columns).ravel() for ids in self._bins[1]]
+            self._bins[m] = bins
+        return bins
+
     def matvec(self, Y: np.ndarray) -> np.ndarray:
-        """``S @ Y`` for an (n, m) array; each cluster sums in ascending node order."""
-        out = np.zeros((self.n, Y.shape[1]))
-        for ids in self._columns:  # every id up to the largest occurs
-            for c in range(Y.shape[1]):
-                y = Y[:, c]
-                out[:, c] += np.bincount(ids, weights=y)[ids] - y
+        """``S @ Y`` for an (n, m) array.
+
+        ``bincount`` adds a bin's entries in ascending flat, hence node,
+        order, so every cluster sums sequentially in ascending node order.
+        """
+        m = Y.shape[1]
+        y = Y.ravel()
+        out = np.zeros(self.n * m)
+        for bins in self._bins_of_width(m):
+            term = np.bincount(bins, weights=y).take(bins)
+            term -= y
+            out += term
         out /= self._r2
-        return out
+        return out.reshape(self.n, m)
 
 
 def _coassociation_pairs(clusters: np.ndarray):

@@ -31,7 +31,8 @@ objective call costs one product of S with an n-by-k matrix.
 
 What is constant for a problem is formed once, by one private object that
 every public entry builds.  It checks pi as :func:`run` documents, so all
-entries reject a bad pi alike, and holds pi clamped, phi(pi) per
+entries reject a bad pi alike, checks the copies an entry is given (shape
+(n, k) and finite, or ``ShapeError``), and holds pi clamped, phi(pi) per
 coordinate, the similarity's operator with its row sums and both sweeps'
 denominators.  Each Bregman term is differenced per coordinate and each of
 the objective's three terms (fit, pair, coupling) is reduced by one
@@ -46,8 +47,10 @@ co-association, O(n k r2) per product.
 Within a half-step the per-instance updates are mutually independent (right
 updates read only left copies and ``pi``; left updates read only right
 copies), so each sweep is one vectorised pass over all instances built on a
-single product with the similarity.  Every inner summation runs in fixed
-ascending-index order, so results are reproducible bit for bit.  The solve
+single product with the similarity.  Every inner summation runs in an
+order fixed for a given operator, so a run repeats bit for bit: the
+partition product's grouped sums add sequentially in ascending node order;
+the CSR product's ``np.add.reduceat`` need not add left to right.  The solve
 runs in one thread; ``SolverConfig.threads`` is accepted for compatibility
 and ignored.
 
@@ -135,7 +138,8 @@ class Labeling:
 class _Problem:
     """One problem's constants (see the module docstring), half-steps, J and J0's gradient.
 
-    ``pi`` is checked here, as :func:`run` documents.  ``pi=None``
+    ``pi`` is checked here, as :func:`run` documents, and copies from
+    outside by :meth:`copies`; :func:`run` forms its own.  ``pi=None``
     (:func:`update_left`) skips the check and the pi constants: the left
     sweep never reads pi.  Rows whose left weights ``alpha r_i + lam``
     vanish are inactive: their left copy keeps its old value.
@@ -166,6 +170,10 @@ class _Problem:
         self.inactive = np.flatnonzero(left <= 0.0)
         self.left_denom = np.where(left > 0.0, left, 1.0)[:, None]
         self.ones = np.ones(spec.dimension)
+
+    def copies(self, **arrays):
+        """The named copies as float64 arrays, each checked to be finite and (n, k)."""
+        return _finite_of_shape((self.op.n, self.spec.dimension), **arrays)
 
     def right(self, y_left):
         """All right copies at once: weighted means of pi, neighbours and own left copy."""
@@ -239,15 +247,30 @@ class _Problem:
         return grad
 
 
+def _finite_of_shape(shape, **arrays):
+    """The named arrays as float64; one not finite or not of ``shape`` raises ShapeError."""
+    checked = []
+    for name, a in arrays.items():
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != shape:
+            raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
+        if not np.all(np.isfinite(a)):
+            raise ShapeError(f"{name} contains non-finite values")
+        checked.append(a)
+    return checked
+
+
 def objective_j0(Y, pi, similarity, config) -> float:
     """Single-copy objective: fit term plus the similarity-weighted pair term."""
-    Y = np.asarray(Y, dtype=np.float64)
-    return _Problem(pi, similarity, config).objective(Y, Y, lam=0.0)
+    problem = _Problem(pi, similarity, config)
+    (Y,) = problem.copies(Y=Y)
+    return problem.objective(Y, Y, lam=0.0)
 
 
 def objective_j(state: SolverState, pi, similarity, config) -> float:
     """Split objective over the state's left and right copies."""
-    return _Problem(pi, similarity, config).objective(state.y_left, state.y_right)
+    problem = _Problem(pi, similarity, config)
+    return problem.objective(*problem.copies(y_left=state.y_left, y_right=state.y_right))
 
 
 def update_right(j: int, state: SolverState, pi, similarity, config) -> np.ndarray:
@@ -255,7 +278,9 @@ def update_right(j: int, state: SolverState, pi, similarity, config) -> np.ndarr
 
     This is row ``j`` of a full right sweep, so one call costs a whole sweep.
     """
-    return _Problem(pi, similarity, config).right(state.y_left)[j]
+    problem = _Problem(pi, similarity, config)
+    (y_left,) = problem.copies(y_left=state.y_left)
+    return problem.right(y_left)[j]
 
 
 def update_left(i: int, state: SolverState, similarity, config) -> np.ndarray:
@@ -268,7 +293,8 @@ def update_left(i: int, state: SolverState, similarity, config) -> np.ndarray:
     full left sweep, so one call costs a whole sweep.
     """
     problem = _Problem(None, similarity, config)
-    y_left, _ = problem.left(config.divergence.grad(state.y_right), state.y_left)
+    y_left, y_right = problem.copies(y_left=state.y_left, y_right=state.y_right)
+    y_left, _ = problem.left(config.divergence.grad(y_right), y_left)
     return y_left[i]
 
 
@@ -489,13 +515,16 @@ def lambda_threshold(pi, similarity, config, state: SolverState, j0_minimizer=No
     step rule it moved by about 1e-13 relative on random problems.
     """
     problem = _Problem(pi, similarity, config)
-    per_row = np.atleast_1d(problem.spec.bregman(state.y_left, state.y_right))
+    y_left, y_right = problem.copies(y_left=state.y_left, y_right=state.y_right)
+    per_row = np.atleast_1d(problem.spec.bregman(y_left, y_right))
     if float(per_row.max()) <= 1e-9:
         return config.lam
-    y_star = _minimize_j0(problem) if j0_minimizer is None else j0_minimizer
-    y_star = np.asarray(y_star, dtype=np.float64)
+    if j0_minimizer is None:
+        y_star = _minimize_j0(problem)
+    else:
+        (y_star,) = problem.copies(j0_minimizer=j0_minimizer)
     numerator = (problem.objective(y_star, y_star, lam=0.0)
-                 - problem.objective(state.y_left, state.y_right, lam=0.0))
+                 - problem.objective(y_left, y_right, lam=0.0))
     denominator = float(per_row.sum())
     if denominator < 1e-15:
         raise DivisionDegenerateError(

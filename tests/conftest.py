@@ -107,6 +107,24 @@ def dense_coassociation(partitions):
     return SimilarityMatrix(n, iu[keep], ju[keep], vals[keep])
 
 
+def column_loop_matvec(clusters, Y):
+    """``S @ Y`` for a partition co-association, one bincount per partition and column.
+
+    The direct form ``PartitionOperator.matvec`` must reproduce bit for bit:
+    each cluster sums a column of ``Y`` in ascending node order, ``Y_i`` is
+    taken out inside each partition's term, the terms are added in partition
+    order from zeros and the total is divided by r2 once.
+    """
+    n, r2 = clusters.shape
+    out = np.zeros((n, Y.shape[1]))
+    for ids in clusters.T:
+        for c in range(Y.shape[1]):
+            y = Y[:, c]
+            out[:, c] += np.bincount(ids, weights=y)[ids] - y
+    out /= r2
+    return out
+
+
 def argsort_csr(similarity):
     """The symmetrized CSR (indptr, indices, data) by one stable argsort of all keys.
 

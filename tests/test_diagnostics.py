@@ -112,6 +112,25 @@ class TestHessianBlocks:
             assert expected == pytest.approx(blocks.scale * pi.sum())
 
 
+@pytest.mark.parametrize("bad", [
+    lambda pi: np.where(np.arange(pi.size).reshape(pi.shape) == 0, np.nan, pi),
+    lambda pi: np.full_like(pi, np.inf),
+    lambda pi: np.hstack([pi, pi[:, :1]]),
+    lambda pi: np.vstack([pi, pi[:1]]),
+    np.ravel,
+], ids=["nan", "inf", "extra-column", "extra-row", "flat"])
+def test_quadratic_form_identity_rejects_a_pi_unlike_the_blocks(bad, rng):
+    # a 3-column or 4-row pi used to give a number (1.4, 1.0) and NaN a nan residual
+    pi, s, cfg = random_instance("gen-i", rng, 3, 2)
+    st_ = _interior_state("gen-i", rng, 3, 2)
+    blocks = hessian_blocks(st_, pi, s, cfg)
+    quadratic_form_identity(blocks, st_, pi)
+    with pytest.raises(ShapeError, match="pi"):
+        quadratic_form_identity(blocks, st_, bad(pi))
+    with pytest.raises(ShapeError, match="y_right"):
+        quadratic_form_identity(blocks, _state(st_.y_left, bad(st_.y_right)), pi)
+
+
 @settings(max_examples=300, deadline=None)
 @given(token=st.sampled_from(["kl", "gen-i"]), n=st.integers(1, 8), k=st.integers(2, 4),
        layout=st.sampled_from(LAYOUTS), alpha=weights, lam=weights,

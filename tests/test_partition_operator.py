@@ -12,7 +12,7 @@ from bregman_consensus.ensemble_inputs import coassociation_similarity
 from bregman_consensus.estimator import BregmanConsensus, check_probabilities
 from bregman_consensus.solver import SolverConfig, run
 
-from conftest import ALL_TOKENS, dense_coassociation, random_pi
+from conftest import ALL_TOKENS, column_loop_matvec, dense_coassociation, random_pi
 
 # how one partition column labels its n nodes
 COLUMN_LAYOUTS = ("random", "singletons", "single", "gapped", "negative", "huge")
@@ -60,6 +60,45 @@ def test_partition_operator_matches_dense_oracle(data, n, r2, seed):
         a, b = getattr(s, name), getattr(oracle, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert s.nnz == oracle.nnz
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), r2=st.integers(1, 8),
+       order=st.sampled_from(("C", "F", "sliced")), seed=st.integers(0, 2**32 - 1))
+def test_partition_product_matches_column_loop_bitwise(data, n, r2, order, seed):
+    layouts = data.draw(st.lists(st.sampled_from(COLUMN_LAYOUTS), min_size=r2, max_size=r2))
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    s = coassociation_similarity(np.column_stack([_column(layout, rng, n) for layout in layouts]))
+    Y = rng.normal(size=(n, 2 * k))
+    Y[rng.uniform(size=Y.shape) < 0.3] = -0.0
+    Y = {"C": Y[:, :k].copy(), "F": np.asfortranarray(Y[:, :k]), "sliced": Y[::-1, ::2]}[order]
+    op = s.operator
+    assert op.row_sum.tobytes() == column_loop_matvec(s.clusters, np.ones((n, 1)))[:, 0].tobytes()
+    # the widths alternate, so bins kept for one width must not serve another
+    for Z in (Y, np.eye(n), Y, np.ones((n, 1)), Y):
+        got = op.matvec(Z)
+        assert got.shape == (n, Z.shape[1])
+        assert got.tobytes() == column_loop_matvec(s.clusters, Z).tobytes()
+
+
+def test_one_bincount_per_partition_whatever_the_width(monkeypatch, rng):
+    n, r2 = 10, 4
+    op = coassociation_similarity(rng.integers(0, 3, (n, r2))).operator
+    calls = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    for m in (2, 1, n, 2):
+        calls.clear()
+        op.matvec(rng.normal(size=(n, m)))
+        assert len(calls) == r2, m
+    # the bins of a width are formed once and kept
+    assert op._bins_of_width(2) is op._bins_of_width(2)
 
 
 def test_node_never_co_clustered_reads_exact_zeros(rng):

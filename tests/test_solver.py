@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bregman_consensus.diagnostics import hessian_blocks
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity
 from bregman_consensus.exceptions import (ArgumentError, BregmanConsensusError, DomainError,
@@ -409,6 +410,7 @@ _PI_ENTRIES = {
     "update_right": lambda pi, s, cfg, state: update_right(0, state, pi, s, cfg),
     "minimize_j0": lambda pi, s, cfg, state: minimize_j0(pi, s, cfg),
     "lambda_threshold": lambda pi, s, cfg, state: lambda_threshold(pi, s, cfg, state),
+    "hessian_blocks": lambda pi, s, cfg, state: hessian_blocks(state, pi, s, cfg),
 }
 
 
@@ -429,6 +431,50 @@ def test_every_entry_rejects_a_bad_pi_as_run_does(case, entry, rng):
         _PI_ENTRIES[entry](bad, s, cfg, state)
     assert type(from_entry.value) is type(from_run.value)
     assert str(from_entry.value) == str(from_run.value)
+
+
+# a change that makes a valid 3-by-2 copy invalid
+_BAD_COPY = {
+    "nan-entry": _with_entry(np.nan),
+    "inf-entry": _with_entry(np.inf),
+    "extra-row": lambda y: np.vstack([y, y[:1]]),
+    "extra-column": lambda y: np.hstack([y, y[:, :1]]),
+    "flat": np.ravel,
+}
+_COPY_ENTRIES = {
+    "objective_j": lambda pi, s, cfg, state: objective_j(state, pi, s, cfg),
+    "objective_j0": lambda pi, s, cfg, state: objective_j0(state.y_right, pi, s, cfg),
+    "update_right": lambda pi, s, cfg, state: update_right(0, state, pi, s, cfg),
+    "update_left": lambda pi, s, cfg, state: update_left(0, state, s, cfg),
+    "lambda_threshold": lambda pi, s, cfg, state: lambda_threshold(pi, s, cfg, state),
+    "hessian_blocks": lambda pi, s, cfg, state: hessian_blocks(state, pi, s, cfg),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COPY_ENTRIES))
+@pytest.mark.parametrize("case", sorted(_BAD_COPY))
+def test_every_entry_rejects_bad_copies(case, entry, rng):
+    # objective_j0 used to return nan for a NaN Y, and a 4-row state on 3
+    # nodes failed in numpy broadcasting rather than with ShapeError
+    pi = interior_points("gen-i", rng, 3, 2)
+    s = random_similarity(rng, 3, density=1.0)
+    cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), alpha=0.5, lam=0.1)
+    y_left, y_right = interior_points("gen-i", rng, 3, 2), interior_points("gen-i", rng, 3, 2)
+    _COPY_ENTRIES[entry](pi, s, cfg, _state(y_left, y_right))
+    corrupt = _BAD_COPY[case]
+    with pytest.raises(ShapeError, match="y_left|y_right|Y"):
+        _COPY_ENTRIES[entry](pi, s, cfg, _state(corrupt(y_left), corrupt(y_right)))
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COPY))
+def test_lambda_threshold_rejects_a_bad_supplied_minimizer(case, rng):
+    pi = interior_points("gen-i", rng, 3, 2)
+    s = random_similarity(rng, 3, density=1.0)
+    cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), alpha=0.5, lam=0.1)
+    state = _state(interior_points("gen-i", rng, 3, 2), interior_points("gen-i", rng, 3, 2))
+    lambda_threshold(pi, s, cfg, state, j0_minimizer=pi)
+    with pytest.raises(ShapeError, match="j0_minimizer"):
+        lambda_threshold(pi, s, cfg, state, j0_minimizer=_BAD_COPY[case](pi))
 
 
 class TestLambdaThreshold:
