@@ -187,12 +187,12 @@ def delta_j(left_a, left_b, similarity: SimilarityMatrix, config: SolverConfig) 
     ``sum_i (lam + alpha * sum_{j != i} s_ij) d(a_i, b_i)``; nonnegative and
     zero exactly when the configurations coincide.  Along the solver's
     trajectory, its value against the converged reference never increases.
+    Either configuration not finite or not (n, k) raises :class:`ShapeError`
+    naming it.
     """
     spec = config.divergence
-    left_a = np.asarray(left_a, dtype=np.float64)
-    left_b = np.asarray(left_b, dtype=np.float64)
-    if left_a.shape != left_b.shape:
-        raise ShapeError(f"shape mismatch {left_a.shape} vs {left_b.shape}")
+    left_a, left_b = _finite_of_shape((similarity.n, spec.dimension), left_a=left_a,
+                                      left_b=left_b)
     weights = config.lam + config.alpha * similarity.operator.row_sum
     return float(np.sum(weights * np.atleast_1d(spec.bregman(left_a, left_b))))
 

@@ -40,8 +40,9 @@ whole-array sum, so beyond its two products with S an iteration makes a
 fixed, small number of O(n k) elementwise passes.  The solver and the
 diagnostics read the similarity only through its operator (``n``,
 ``row_sum``, ``matvec``), built once per
-:class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix`: a symmetrized
-CSR for stored pairs, O(nnz k) per product, or the partition-factored
+:class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix`: for stored
+pairs both orientations grouped by row degree, O(nnz k) per product in about
+one grouped reduction per distinct degree, or the partition-factored
 co-association, O(n k r2) per product.
 
 Within a half-step the per-instance updates are mutually independent (right
@@ -50,9 +51,9 @@ copies), so each sweep is one vectorised pass over all instances built on a
 single product with the similarity.  Every inner summation runs in an
 order fixed for a given operator, so a run repeats bit for bit: the
 partition product's grouped sums add sequentially in ascending node order;
-the CSR product's ``np.add.reduceat`` need not add left to right.  The solve
-runs in one thread; ``SolverConfig.threads`` is accepted for compatibility
-and ignored.
+the stored-pair product's order is fixed by its degree layout and the
+operand's width, and need not add left to right.  The solve runs in one
+thread; ``SolverConfig.threads`` is accepted for compatibility and ignored.
 
 :func:`run` is the loop's only entry, always from the uniform start.  Only
 its stopping test reads ``epsilon``, so a run at a looser tolerance is a

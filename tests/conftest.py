@@ -142,6 +142,21 @@ def argsort_csr(similarity):
     return indptr, j2[order], np.concatenate([similarity.vals, similarity.vals])[order]
 
 
+def reduceat_matvec(indptr, indices, data, Y):
+    """``S @ Y`` from a symmetrized CSR, one ``np.add.reduceat`` per column.
+
+    The form ``SimilarityOperator.matvec`` had before its degree blocks:
+    each column is gathered over ``indices`` and scaled by ``data``, and
+    every nonempty row reduces its own contiguous slice; empty rows are 0.0.
+    """
+    n = indptr.size - 1
+    nonempty = np.flatnonzero(np.diff(indptr))
+    out = np.zeros((n, Y.shape[1]))
+    for c in range(Y.shape[1] if nonempty.size else 0):
+        out[nonempty, c] = np.add.reduceat(data * Y[:, c][indices], indptr[nonempty])
+    return out
+
+
 def where_left_sweep(grad_right, op, spec, y_left, alpha, lam):
     """The left sweep as full-size ``np.where`` passes over every row.
 

@@ -267,6 +267,23 @@ class TestDeltaJ:
         b = interior_points("gen-i", rng, 4, 2)
         assert delta_j(a, b, s, cfg) > 0.0
 
+    @pytest.mark.parametrize("case", ["all-nan", "four-rows", "three-columns"])
+    @pytest.mark.parametrize("which", ["left_a", "left_b"])
+    def test_rejects_a_configuration_not_finite_or_not_n_by_k(self, case, which, rng):
+        # it returned nan, failed in numpy's broadcasting, and returned 0.0318
+        _, s, _ = random_instance("gen-i", rng, 3, 2)
+        cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), alpha=0.5, lam=0.1)
+        good = interior_points("gen-i", rng, 3, 2)
+        bad = {"all-nan": np.full((3, 2), np.nan),
+               "four-rows": interior_points("gen-i", rng, 4, 2),
+               "three-columns": interior_points("gen-i", rng, 3, 3)}[case]
+        args = {"left_a": good, "left_b": good, which: bad}
+        with pytest.raises(ShapeError, match=which):
+            delta_j(args["left_a"], args["left_b"], s, cfg)
+        if case != "all-nan":  # both of one wrong shape were compared with each other
+            with pytest.raises(ShapeError, match="left_a"):
+                delta_j(bad, bad, s, cfg)
+
     def test_empty_similarity_reduces_to_lam_weighted_sum(self, rng):
         cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), alpha=3.0, lam=0.4)
         a = interior_points("gen-i", rng, 4, 2)

@@ -3,12 +3,14 @@
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bregman_consensus import ensemble_inputs
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import (
     SimilarityMatrix,
@@ -32,7 +34,7 @@ from bregman_consensus.exceptions import (
 )
 from bregman_consensus.solver import SolverConfig, run
 
-from conftest import argsort_csr, layout_similarity, random_similarity
+from conftest import argsort_csr, layout_similarity, random_similarity, reduceat_matvec
 
 
 class TestAveraging:
@@ -141,10 +143,10 @@ class TestSimilarityMatrix:
         s = random_similarity(rng, 6)
         op = s.operator
         assert s.operator is op
-        indptr, indices, data = s.symmetrized_csr()
-        assert indptr is op.indptr and indices is op.indices and data is op.data
-        for arr in (indptr, indices, data, op.row_sum):
-            assert not arr.flags.writeable
+        assert not op.row_sum.flags.writeable
+        for got, want in zip(s.symmetrized_csr(), argsort_csr(s)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     @pytest.mark.parametrize("backing", ["pairs", "partitions"])
     def test_equality_and_hash_are_by_identity(self, backing):
@@ -187,10 +189,119 @@ class TestOperatorBuild:
         else:  # random pairs leave empty rows; "gaps" isolates three nodes
             similarity = layout_similarity("random" if layout == "partitions" else layout,
                                            rng, n)
-        op = SimilarityOperator(similarity)
-        for got, want in zip((op.indptr, op.indices, op.data), argsort_csr(similarity)):
+        for got, want in zip(similarity.symmetrized_csr(), argsort_csr(similarity)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+def _star(rng, n):
+    """One random hub joined to every other node, as stored pairs."""
+    hub = int(rng.integers(0, n))
+    others = np.delete(np.arange(n), hub)
+    return SimilarityMatrix.from_pairs(n, np.full(n - 1, hub), others,
+                                       rng.uniform(0.05, 1.0, n - 1))
+
+
+def _stored_pairs(layout, rng, n):
+    if layout == "star" and n >= 2:
+        return _star(rng, n)
+    if layout == "partitions" and n >= 2:  # a partition ensemble's pairs, enumerated
+        return coassociation_similarity(rng.integers(0, rng.integers(1, 6), (n, 3)))
+    return layout_similarity(layout if layout in ("empty", "gaps") else "random", rng, n)
+
+
+class _Counting:
+    """Stands in for ``np.add``: counts its ``reduce`` and ``reduceat`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def reduce(self, *args, **kwargs):
+        self.calls += 1
+        return _ADD.reduce(*args, **kwargs)
+
+    def reduceat(self, *args, **kwargs):
+        self.calls += 1
+        return _ADD.reduceat(*args, **kwargs)
+
+
+_ADD = np.add
+
+
+class TestStoredPairProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 60), m=st.integers(1, 5),
+           layout=st.sampled_from(["random", "empty", "gaps", "star", "partitions"]),
+           order=st.sampled_from(["C", "F", "sliced"]),
+           chunk=st.sampled_from([None, 1, 2, 3, 7, 64]), seed=st.integers(0, 2**32 - 1))
+    def test_product_matches_reduceat_and_dense_oracles(self, n, m, layout, order, chunk,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        similarity = _stored_pairs(layout, rng, n)
+        # small chunks cut blocks into several slabs and long rows into their own chunks
+        with mock.patch.object(ensemble_inputs, "_CHUNK", chunk or ensemble_inputs._CHUNK):
+            op = SimilarityOperator(similarity)
+        Y = rng.normal(size=(n, 2 * m))
+        Y[rng.uniform(size=Y.shape) < 0.3] = -0.0
+        Y = {"C": Y[:, :m].copy(), "F": np.asfortranarray(Y[:, :m]), "sliced": Y[::-1, ::2]}[order]
+        csr = similarity.symmetrized_csr()
+        dense = similarity.to_dense()
+        bound = 1e-12 * (dense @ np.abs(Y))  # a row's terms may cancel
+        got = op.matvec(Y)
+        assert got.shape == (n, m)
+        assert np.all(np.abs(got - reduceat_matvec(*csr, Y)) <= bound)
+        assert np.all(np.abs(got - dense @ Y) <= bound)
+        ones = np.ones((n, 1))
+        row_bound = 1e-12 * dense.sum(axis=1)
+        assert np.all(np.abs(op.row_sum - reduceat_matvec(*csr, ones)[:, 0]) <= row_bound)
+        assert np.all(np.abs(op.row_sum - dense.sum(axis=1)) <= row_bound)
+
+        empty = np.diff(csr[0]) == 0
+        assert got[empty].tobytes() == np.zeros((int(empty.sum()), m)).tobytes()
+        assert op.row_sum[empty].tobytes() == np.zeros(int(empty.sum())).tobytes()
+        # a fixed summation order: perfbench's round-drift check compares fresh builds
+        with mock.patch.object(ensemble_inputs, "_CHUNK", chunk or ensemble_inputs._CHUNK):
+            again = SimilarityOperator(SimilarityMatrix(n, similarity.rows, similarity.cols,
+                                                        similarity.vals))
+        assert again.matvec(Y).tobytes() == got.tobytes() == op.matvec(Y).tobytes()
+        assert again.row_sum.tobytes() == op.row_sum.tobytes()
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_rejects_an_operand_with_other_than_n_rows(self, rows, rng):
+        # the gathers clip their indices, so a short operand would read its last row
+        op = random_similarity(rng, 5).operator
+        with pytest.raises(ShapeError, match=r"expected an \(5, m\) array"):
+            op.matvec(np.ones((rows, 2)))
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    @pytest.mark.parametrize("layout", ["star", "random"])
+    def test_reductions_track_distinct_degrees_not_the_largest(self, layout, chunk,
+                                                               monkeypatch):
+        # a jagged-diagonal layout would make one call per position up to the hub's degree
+        rng = np.random.default_rng(15)
+        n = 3000 if layout == "star" else 200
+        similarity = _star(rng, n) if layout == "star" else random_similarity(rng, n)
+        if chunk:
+            monkeypatch.setattr(ensemble_inputs, "_CHUNK", chunk)
+        op = SimilarityOperator(similarity)
+        degree = np.diff(similarity.symmetrized_csr()[0])
+        distinct = np.unique(degree[degree > 0]).size
+        chunks = -(-degree.sum() // ensemble_inputs._CHUNK)
+        counts = set()
+        for m in (1, 4, 7):
+            add = _Counting()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "add", add)
+                op.matvec(rng.normal(size=(n, m)))
+            counts.add(add.calls)
+        assert len(counts) == 1  # one reduction per slab or chunk, whatever the width
+        calls = counts.pop()
+        if chunk is None:  # every block fits a chunk
+            assert calls <= distinct
+            if layout == "star":
+                assert distinct == calls == 2  # the leaves' slab and the hub's row
+        assert calls <= distinct + 2 * chunks + 1
 
 
 class TestFromPairs:

@@ -36,6 +36,7 @@ from conftest import (
     eq_right_objective,
     fd_projected_gradient_j0,
     interior_points,
+    layout_similarity,
     nelder_mead_minimize,
     partition_similarity,
     random_instance,
@@ -604,6 +605,38 @@ def test_lambda_threshold_is_permutation_invariant(token, partitions, rng):
     # random problems and 1.6e-15 on the benchmark's desk problem
     assert lambda_threshold(pi[perm], permuted, cfg, state_p) == pytest.approx(
         expected, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(token=st.sampled_from(["kl", "gen-i"]), n=st.integers(2, 40), k=st.integers(2, 4),
+       layout=st.sampled_from(["random", "gaps", "empty"]), seed=st.integers(0, 2**32 - 1))
+def test_stored_pair_relabelling_permutes_product_and_run(token, n, k, layout, seed):
+    rng = np.random.default_rng(seed)
+    s = layout_similarity(layout, rng, n)
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)  # node i of the original is node inv[i] of the permuted
+    permuted = SimilarityMatrix.from_pairs(n, inv[s.rows], inv[s.cols], s.vals)
+    Y = rng.normal(size=(n, k))
+    # the layout orders rows by degree, then node, so the sums take other orders
+    bound = 1e-12 * s.operator.matvec(np.abs(Y))
+    assert np.all(np.abs(permuted.operator.matvec(Y[perm]) - s.operator.matvec(Y)[perm])
+                  <= bound[perm])
+
+    pi = random_pi(token, rng, n, k)
+    # the same number of sweeps: at epsilon=1e-300 a run stops only where J repeats
+    # bit for bit, which the rounding decides, and the copies may still move
+    cfg = SolverConfig(divergence=divergence_spec(token, k), alpha=float(rng.uniform(0.1, 1.5)),
+                       lam=float(rng.uniform(0.05, 1.0)), epsilon=1e-300, max_iters=30)
+    sweeps = min(run(pi, s, cfg)[1].iteration, run(pi[perm], permuted, cfg)[1].iteration)
+    cfg = dataclasses.replace(cfg, max_iters=sweeps)
+    labeling, state = run(pi, s, cfg)
+    labeling_p, state_p = run(pi[perm], permuted, cfg)
+    assert state.iteration == state_p.iteration == sweeps
+    for got, want in ((labeling_p.probabilities, labeling.probabilities),
+                      (state_p.y_left, state.y_left), (state_p.y_right, state.y_right)):
+        np.testing.assert_allclose(got, want[perm], rtol=0.0, atol=1e-10)
+    assert state_p.objective_trace[-1] == pytest.approx(state.objective_trace[-1],
+                                                        rel=1e-12, abs=0.0)
 
 
 _EPSILONS = (1e-6, 1e-10, 1e-14, 1e-16)
