@@ -20,13 +20,11 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .divergences import DivergenceKind
 from .ensemble_inputs import SimilarityMatrix
 from .exceptions import (ArgumentError, InsufficientTraceError, ShapeError,
                          UnsupportedDivergenceError)
 from .solver import SolverConfig, SolverState, _finite_of_shape, _Problem
 
-_HESSIAN_KINDS = (DivergenceKind.KL, DivergenceKind.GENERALIZED_I)
 MAX_HESSIAN_DIM = 200  # diagnostics are desk-scale verifiers, not production paths
 
 
@@ -82,7 +80,7 @@ def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
     is allocated.
     """
     spec = config.divergence
-    if spec.kind not in _HESSIAN_KINDS:
+    if not spec.supports_hessian:
         raise UnsupportedDivergenceError(
             f"analytic Hessian blocks exist only for kl/gen-i, not {spec.kind.value}"
         )

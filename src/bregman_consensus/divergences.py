@@ -59,13 +59,13 @@ class DivergenceKind(enum.Enum):
     GENERALIZED_I = "gen-i"
 
 
-def parse_divergence(token: str) -> DivergenceKind:
-    """Map a CLI token (e.g. ``"gen-i"``) to its :class:`DivergenceKind`."""
-    for kind in DivergenceKind:
-        if kind.value == token:
-            return kind
-    valid = ", ".join(k.value for k in DivergenceKind)
-    raise ValueError(f"unknown divergence {token!r}; expected one of: {valid}")
+def parse_divergence(token) -> DivergenceKind:
+    """Map a :class:`DivergenceKind` or its CLI token (e.g. ``"gen-i"``) to the kind."""
+    try:
+        return DivergenceKind(token)
+    except ValueError:
+        valid = ", ".join(k.value for k in DivergenceKind)
+        raise ValueError(f"unknown divergence {token!r}; expected one of: {valid}") from None
 
 
 def _sigmoid(g):
@@ -162,8 +162,9 @@ class DivergenceSpec:
 
     Parameters
     ----------
-    kind : DivergenceKind
-        Which generating function to use.
+    kind : DivergenceKind or str
+        Which generating function to use: a kind or its CLI token, resolved
+        to the kind; anything else raises ``ValueError``.
     dimension : int
         Number of coordinates k of the points the spec will see.
     domain_floor : float
@@ -177,6 +178,7 @@ class DivergenceSpec:
     domain_floor: float = 1e-12
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", parse_divergence(self.kind))
         if self.dimension < 1:
             raise ShapeError(f"dimension must be positive, got {self.dimension}")
         if not 0.0 < self.domain_floor < 0.5:
@@ -301,8 +303,6 @@ class DivergenceSpec:
 
 def divergence_spec(kind, dimension, domain_floor=1e-12) -> DivergenceSpec:
     """Build a :class:`DivergenceSpec` from a kind or CLI token."""
-    if isinstance(kind, str):
-        kind = parse_divergence(kind)
     return DivergenceSpec(kind=kind, dimension=dimension, domain_floor=domain_floor)
 
 

@@ -367,6 +367,8 @@ class PartitionOperator:
         ``bincount`` adds a bin's entries in ascending flat, hence node,
         order, so every cluster sums sequentially in ascending node order.
         """
+        if Y.ndim != 2 or Y.shape[0] != self.n:
+            raise ShapeError(f"expected an ({self.n}, m) array, got shape {Y.shape}")
         m = Y.shape[1]
         y = Y.ravel()
         out = np.zeros(self.n * m)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divergences import DivergenceKind, DivergenceSpec, divergence_spec, validate_probabilities
+from .divergences import DivergenceSpec, divergence_spec, validate_probabilities
 from .ensemble_inputs import SimilarityMatrix
 from .exceptions import ShapeError
 from .solver import SolverConfig, run
@@ -99,12 +99,7 @@ class BregmanConsensus:
     def _spec(self, k: int) -> DivergenceSpec:
         if isinstance(self.divergence, DivergenceSpec):
             return self.divergence
-        kind = self.divergence
-        if isinstance(kind, str):
-            return divergence_spec(kind, k, self.domain_floor)
-        if isinstance(kind, DivergenceKind):
-            return DivergenceSpec(kind=kind, dimension=k, domain_floor=self.domain_floor)
-        raise ValueError(f"cannot interpret divergence={self.divergence!r}")
+        return divergence_spec(self.divergence, k, self.domain_floor)
 
     def fit(self, pi, similarity):
         """Run the consensus solve on a probability matrix and a similarity.

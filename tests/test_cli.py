@@ -214,6 +214,28 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_partition_rows_other_than_pi_rows_exit_2(tmp_path, capsys):
+    (tmp_path / "pi.csv").write_text("0.3,0.7\n0.6,0.4\n0.5,0.5\n")
+    (tmp_path / "parts.csv").write_text("0,1\n1,1\n")
+    code = main(["run", "--pi", str(tmp_path / "pi.csv"),
+                 "--partitions", str(tmp_path / "parts.csv"),
+                 "--labels-out", str(tmp_path / "labels.csv")])
+    assert code == 2
+    assert "partition file has 2 rows, pi has 3" in capsys.readouterr().err
+    assert not (tmp_path / "labels.csv").exists()
+
+
+def test_truth_of_another_length_exits_2(tmp_path, capsys):
+    (tmp_path / "pi.csv").write_text("0.3,0.7\n0.6,0.4\n0.5,0.5\n")
+    (tmp_path / "sim.txt").write_text("0,1,0.5\n1,2,0.9\n")
+    (tmp_path / "truth.csv").write_text("0\n1\n")
+    code = main(["run", "--pi", str(tmp_path / "pi.csv"),
+                 "--similarity", str(tmp_path / "sim.txt"), "--truth", str(tmp_path / "truth.csv"),
+                 "--labels-out", str(tmp_path / "labels.csv")])
+    assert code == 2
+    assert "truth file has 2 labels, expected 3" in capsys.readouterr().err
+
+
 def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypatch):
     import dataclasses
 

@@ -117,6 +117,21 @@ class TestKmeans:
         with pytest.raises(ArgumentError):
             kmeans(rng.normal(size=(3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize("seed, expected", [
+        (0, [2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0]),
+        (1, [1, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2]),
+    ])
+    def test_empty_cluster_is_reseeded_at_the_farthest_point(self, seed, expected):
+        # three centres drawn from two distinct points: two coincide, the later
+        # one wins no point, and it is reseeded at the farthest point from its
+        # centre; every distance is 0, so that is point 0.  kmeans keeps its
+        # first restart, whose WCSS of 0 no later restart beats
+        pts = np.repeat([[0.0, 0.0], [1.0, 1.0]], 6, axis=0)
+        labels, wcss, _ = _lloyd(pts, 3, np.random.default_rng(seed))
+        np.testing.assert_array_equal(labels, expected)
+        assert wcss == 0.0
+        np.testing.assert_array_equal(kmeans(pts, 3, seed=seed), expected)
+
     def test_wcss_non_increasing_within_lloyd(self, rng):
         pts = rng.normal(size=(60, 2))
         _, _, history = _lloyd(pts, 5, np.random.default_rng(3))

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from bregman_consensus import BregmanConsensus
 from bregman_consensus.divergences import (
     DivergenceKind,
+    DivergenceSpec,
     divergence_spec,
     parse_divergence,
     validate_point,
 )
+from bregman_consensus.ensemble_inputs import SimilarityMatrix
 from bregman_consensus.exceptions import DomainError, RangeError, ShapeError
 
 from conftest import ALL_TOKENS, interior_points
@@ -102,6 +105,28 @@ class TestDomainHandling:
             assert parse_divergence(token).value == token
         with pytest.raises(ValueError):
             parse_divergence("mahalanobis")
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    def test_spec_resolves_a_token_to_its_kind(self, token):
+        # a spec built from the token used to keep the string and raise
+        # KeyError on its first evaluation
+        spec = DivergenceSpec(kind=token, dimension=2)
+        assert spec.kind is parse_divergence(token)
+        assert spec == divergence_spec(parse_divergence(token), 2)
+        assert np.isfinite(spec.phi(interior_points(token, np.random.default_rng(0), 1, 2)[0]))
+
+    @pytest.mark.parametrize("bad", [5, None, 2.5, "KL", "mahalanobis", ["kl"]], ids=repr)
+    @pytest.mark.parametrize("build", [
+        lambda kind: DivergenceSpec(kind=kind, dimension=2),
+        lambda kind: divergence_spec(kind, 2),
+        lambda kind: BregmanConsensus(divergence=kind).fit(np.full((2, 2), 0.5),
+                                                           SimilarityMatrix.empty(2)),
+    ], ids=["spec", "divergence_spec", "estimator"])
+    def test_an_unknown_kind_is_rejected_on_construction(self, bad, build):
+        with pytest.raises(ValueError, match=r"unknown divergence .*expected one of: squared, "
+                                             r"logistic, bose-einstein, itakura-saito, "
+                                             r"euclidean, kl, gen-i$"):
+            build(bad)
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)

@@ -1,6 +1,7 @@
 """Averaging, co-association, sparsification, and file round-trips."""
 
 import os
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -34,7 +35,8 @@ from bregman_consensus.exceptions import (
 )
 from bregman_consensus.solver import SolverConfig, run
 
-from conftest import argsort_csr, layout_similarity, random_similarity, reduceat_matvec
+from conftest import (argsort_csr, layout_similarity, partition_similarity, random_similarity,
+                      reduceat_matvec)
 
 
 class TestAveraging:
@@ -111,6 +113,15 @@ class TestCoassociation:
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             coassociation_similarity(np.zeros((1, 2), dtype=int))
+        with pytest.raises(ShapeError, match="at least one partition"):
+            coassociation_similarity(np.zeros((3, 0), dtype=int))
+
+    def test_one_dimensional_labels_are_one_partition(self, rng):
+        labels = rng.integers(0, 3, 9)
+        s, column = coassociation_similarity(labels), coassociation_similarity(labels[:, None])
+        np.testing.assert_array_equal(s.to_dense(), column.to_dense())
+        Y = rng.normal(size=(9, 2))
+        assert s.operator.matvec(Y).tobytes() == column.operator.matvec(Y).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
     def test_rejects_labels_that_are_not_finite_integers(self, bad):
@@ -267,12 +278,20 @@ class TestStoredPairProduct:
         assert again.matvec(Y).tobytes() == got.tobytes() == op.matvec(Y).tobytes()
         assert again.row_sum.tobytes() == op.row_sum.tobytes()
 
-    @pytest.mark.parametrize("rows", [4, 6])
-    def test_rejects_an_operand_with_other_than_n_rows(self, rows, rng):
-        # the gathers clip their indices, so a short operand would read its last row
-        op = random_similarity(rng, 5).operator
-        with pytest.raises(ShapeError, match=r"expected an \(5, m\) array"):
-            op.matvec(np.ones((rows, 2)))
+    @pytest.mark.parametrize("backing, shape", [
+        ("pairs", (4, 2)), ("pairs", (6, 2)), ("pairs", (5,)),
+        ("partitions", (4, 2)), ("partitions", (6, 2)), ("partitions", (5,)),
+    ], ids=["4", "6", "1-D", "partitions-4", "partitions-6", "partitions-1-D"])
+    def test_rejects_an_operand_with_other_than_n_rows(self, backing, shape, rng):
+        # the gathers clip their indices, so a short operand would read its last
+        # row; the partition bins raised numpy's ValueError or an IndexError
+        if backing == "pairs":
+            op = random_similarity(rng, 5).operator
+        else:
+            op = partition_similarity(rng, 5).operator
+        with pytest.raises(ShapeError, match=r"expected an \(5, m\) array, got shape "
+                                             + re.escape(str(shape))):
+            op.matvec(np.ones(shape))
 
     @pytest.mark.parametrize("chunk", [None, 64])
     @pytest.mark.parametrize("layout", ["star", "random"])

@@ -14,6 +14,7 @@ from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_si
 from bregman_consensus.exceptions import (ArgumentError, BregmanConsensusError, DomainError,
                                          NonFiniteObjectiveError, ShapeError)
 from bregman_consensus.solver import (
+    _J0_TOL,
     Labeling,
     SolverConfig,
     SolverState,
@@ -377,6 +378,8 @@ class TestRun:
             SolverConfig(divergence=spec, alpha=-1.0)
         with pytest.raises(ArgumentError):
             SolverConfig(divergence=spec, epsilon=0.0)
+        with pytest.raises(ArgumentError, match="max_iters must be positive, got 0"):
+            SolverConfig(divergence=spec, max_iters=0)
 
     def test_signed_domain_finalization(self, rng):
         # squared-loss runs can average to negative coordinates; labels come
@@ -585,6 +588,61 @@ def test_minimize_j0_reaches_the_squared_minimizer_where_doubling_stalls():
         lambda_threshold(pi, s, cfg, state, j0_minimizer=exact), rel=1e-10, abs=0.0)
 
 
+def test_minimize_j0_falls_back_to_doubling_where_the_gradient_turns_back(monkeypatch):
+    # itakura-saito's divergence is not convex in its second argument, so
+    # neither is J0: along some accepted moves s the gradient change y has
+    # s'y <= 0, where the Barzilai-Borwein quotient is no step length
+    pi, s, cfg = random_instance("itakura-saito", np.random.default_rng(178), 2, 2, alpha=10.0)
+    points = []
+    grad_j0 = _Problem.grad_j0
+
+    def recorded(self, Y):
+        points.append((Y, grad_j0(self, Y)))
+        return points[-1][1]
+
+    monkeypatch.setattr(_Problem, "grad_j0", recorded)
+    y = minimize_j0(pi, s, cfg)
+    monkeypatch.undo()
+    # the gradient is evaluated once per accepted point
+    assert any(np.vdot(y1 - y0, g1 - g0) <= 0.0
+               for (y0, g0), (y1, g1) in zip(points, points[1:]))
+    oracle = doubling_minimize_j0(pi, s, cfg)
+    scale = float(np.abs(cfg.divergence.phi_terms(cfg.divergence.clamp(pi))).sum())
+    assert objective_j0(y, pi, s, cfg) <= objective_j0(oracle, pi, s, cfg) + 1e-13 * scale
+
+
+@pytest.mark.parametrize("token", ["squared", "itakura-saito", "kl", "gen-i"])
+def test_minimize_j0_stops_once_the_trial_no_longer_moves(token, monkeypatch):
+    # on these instances a trial still moves Y at J0's rounding floor, where
+    # no halving lowers J0: the halvings must end on the move test, before
+    # J0 is evaluated, not after a count of failures
+    pi, s, cfg = random_instance(token, np.random.default_rng(0), 5, 2)
+    values = []
+    objective = _Problem.objective
+
+    def counted(self, *args, **kwargs):
+        values.append(objective(self, *args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(_Problem, "objective", counted)
+    minimize_j0(pi, s, cfg)
+    # a rejected trial never lowers J0, so each new minimum is an accepted step
+    accepted = [i for i, v in enumerate(values) if v < min(values[:i], default=np.inf)]
+    assert len(accepted) > 10
+    assert len(values) - 1 - accepted[-1] < 60
+
+
+@settings(max_examples=200, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 8), k=st.integers(2, 4),
+       scale=st.floats(1e-3, 1e8), seed=st.integers(0, 2**32 - 1))
+def test_project_domain_maps_its_output_to_itself(token, n, k, scale, seed):
+    # minimize_j0 terminates because a vanishing trial step projects back
+    # onto the current point: measured 2.2e-16 (kl) and exactly 0 elsewhere
+    spec = divergence_spec(token, k)
+    Y = _project_domain(np.random.default_rng(seed).normal(size=(n, k)) * scale, spec)
+    assert float(np.abs(_project_domain(Y, spec) - Y).max()) < _J0_TOL
+
+
 @pytest.mark.parametrize("token", ALL_TOKENS)
 @pytest.mark.parametrize("partitions", [False, True])
 def test_lambda_threshold_is_permutation_invariant(token, partitions, rng):
@@ -607,18 +665,34 @@ def test_lambda_threshold_is_permutation_invariant(token, partitions, rng):
         expected, rel=1e-10, abs=0.0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(token=st.sampled_from(["kl", "gen-i"]), n=st.integers(2, 40), k=st.integers(2, 4),
-       layout=st.sampled_from(["random", "gaps", "empty"]), seed=st.integers(0, 2**32 - 1))
+def _partitions_with_singletons(rng, n):
+    parts = rng.integers(0, int(rng.integers(1, 5)), (n, int(rng.integers(1, 5))))
+    alone = rng.uniform(size=parts.shape) < rng.uniform(0.0, 0.5)
+    parts[alone] = parts.max() + 1 + np.arange(int(alone.sum()))  # one node each
+    return parts
+
+
+@settings(max_examples=140, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(2, 40), k=st.integers(2, 4),
+       layout=st.sampled_from(["random", "gaps", "empty", "partitions"]),
+       seed=st.integers(0, 2**32 - 1))
 def test_stored_pair_relabelling_permutes_product_and_run(token, n, k, layout, seed):
     rng = np.random.default_rng(seed)
-    s = layout_similarity(layout, rng, n)
     perm = rng.permutation(n)
-    inv = np.argsort(perm)  # node i of the original is node inv[i] of the permuted
-    permuted = SimilarityMatrix.from_pairs(n, inv[s.rows], inv[s.cols], s.vals)
     Y = rng.normal(size=(n, k))
-    # the layout orders rows by degree, then node, so the sums take other orders
-    bound = 1e-12 * s.operator.matvec(np.abs(Y))
+    if layout == "partitions":
+        # permuting the nodes permutes the rows of the partition matrix, and
+        # with them each cluster's members; a cluster adds Y_i and takes it
+        # out again, so its rounding is relative to |Y_i| as well
+        parts = _partitions_with_singletons(rng, n)
+        s, permuted = coassociation_similarity(parts), coassociation_similarity(parts[perm])
+        bound = 1e-12 * (s.operator.matvec(np.abs(Y)) + np.abs(Y))
+    else:
+        s = layout_similarity(layout, rng, n)
+        inv = np.argsort(perm)  # node i of the original is node inv[i] of the permuted
+        permuted = SimilarityMatrix.from_pairs(n, inv[s.rows], inv[s.cols], s.vals)
+        # the layout orders rows by degree, then node, so the sums take other orders
+        bound = 1e-12 * s.operator.matvec(np.abs(Y))
     assert np.all(np.abs(permuted.operator.matvec(Y[perm]) - s.operator.matvec(Y)[perm])
                   <= bound[perm])
 
@@ -632,6 +706,8 @@ def test_stored_pair_relabelling_permutes_product_and_run(token, n, k, layout, s
     labeling, state = run(pi, s, cfg)
     labeling_p, state_p = run(pi[perm], permuted, cfg)
     assert state.iteration == state_p.iteration == sweeps
+    # measured on 2800 problems, 100 per token and layout: copies within
+    # 4.9e-15, J within 4.3e-14 relative
     for got, want in ((labeling_p.probabilities, labeling.probabilities),
                       (state_p.y_left, state.y_left), (state_p.y_right, state.y_right)):
         np.testing.assert_allclose(got, want[perm], rtol=0.0, atol=1e-10)
