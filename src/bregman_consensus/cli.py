@@ -206,6 +206,12 @@ def _diagnostics_entries(recorded, reference, pi, similarity, config, hessian_on
 
 def _cmd_run(args) -> int:
     pi, similarity, config = _load_problem(args)
+    truth = None
+    if args.truth:  # checked before the solve, so a bad file leaves no output behind
+        truth = load_labels(args.truth)
+        if truth.shape[0] != pi.shape[0]:
+            raise BregmanConsensusError(
+                f"truth file has {truth.shape[0]} labels, expected {pi.shape[0]}")
     if args.diagnostics_out:
         (labeling, state), reference = _recorded_solve(pi, similarity, config)
     else:
@@ -219,11 +225,7 @@ def _cmd_run(args) -> int:
         with open(args.diagnostics_out, "w", encoding="utf-8") as fh:
             fh.write(diag.render_report(entries))
     line = _summary_line(labeling, state.objective_trace)
-    if args.truth:
-        truth = load_labels(args.truth)
-        if truth.shape[0] != labeling.labels.shape[0]:
-            raise BregmanConsensusError(
-                f"truth file has {truth.shape[0]} labels, expected {labeling.labels.shape[0]}")
+    if truth is not None:
         accuracy = float(np.mean(truth == labeling.labels))
         line += f" accuracy={accuracy!r}"
     print(line)

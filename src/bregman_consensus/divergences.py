@@ -22,9 +22,13 @@ divergences built from them.
 
 Log-based domains are clamped to ``domain_floor`` before evaluation so that
 hard, exactly-zero classifier outputs stay evaluable; points further outside
-the domain than the floor raise :class:`DomainError`.  The base-2 logarithm
-of the ``kl`` kind is kept throughout, so its gradients carry a 1/ln(2)
-factor.  Simplex membership for ``kl`` is enforced only by
+the domain than the floor raise :class:`DomainError`.  Every public evaluator
+of :class:`DivergenceSpec` checks and clamps its own arguments.  The solver
+does not call them in its loop: a copy is checked once, where it enters a
+solver entry, clamped once per iteration, and the spec's raw per-kind
+kernels run on the clamped copy, so no kernel call scans the domain.  The
+base-2 logarithm of the ``kl`` kind is kept throughout, so its gradients
+carry a 1/ln(2) factor.  Simplex membership for ``kl`` is enforced only by
 :func:`validate_point`; the evaluators accept any positive orthant point so
 that finite-difference probes a step off the simplex remain well defined.
 
@@ -179,14 +183,14 @@ class DivergenceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", parse_divergence(self.kind))
+        object.__setattr__(self, "_rule", _RULES[self.kind])
         if self.dimension < 1:
             raise ShapeError(f"dimension must be positive, got {self.dimension}")
         if not 0.0 < self.domain_floor < 0.5:
             raise ValueError(f"domain_floor must lie in (0, 0.5), got {self.domain_floor}")
 
-    @property
-    def _rule(self) -> _Rule:
-        return _RULES[self.kind]
+    def __reduce__(self):  # the resolved rule holds lambdas: pickle the fields, resolve again
+        return DivergenceSpec, (self.kind, self.dimension, self.domain_floor)
 
     @property
     def nonnegative_domain(self) -> bool:

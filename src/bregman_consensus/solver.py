@@ -32,14 +32,20 @@ objective call costs one product of S with an n-by-k matrix.
 What is constant for a problem is formed once, by one private object that
 every public entry builds.  It checks pi as :func:`run` documents, so all
 entries reject a bad pi alike, checks the copies an entry is given (shape
-(n, k) and finite, or ``ShapeError``), and holds pi clamped, phi(pi) per
-coordinate, the similarity's operator with its row sums and both sweeps'
-denominators.  Each Bregman term is differenced per coordinate and each of
-the objective's three terms (fit, pair, coupling) is reduced by one
-whole-array sum, so beyond its two products with S an iteration makes a
-fixed, small number of O(n k) elementwise passes.  The solver and the
-diagnostics read the similarity only through its operator (``n``,
-``row_sum``, ``matvec``), built once per
+(n, k) and finite, or ``ShapeError``; inside the domain up to the clamping
+floor, or ``DomainError``), and holds pi clamped, phi(pi) per coordinate,
+the similarity's operator with its row sums and both sweeps' denominators.
+Checks happen there, at the entries, and in the public
+:class:`~bregman_consensus.divergences.DivergenceSpec` evaluators, not per
+kernel call: inside the loop each copy is clamped once per iteration, phi
+and its gradient run as the divergence's raw kernels on the clamped copy,
+and the gradient inverse checks only the dual's range where it is bounded,
+so no call scans the domain.  Each Bregman term is differenced per
+coordinate and each of the objective's three terms (fit, pair, coupling)
+is reduced by one whole-array sum, so beyond its two products with S an
+iteration makes a fixed, small number of O(n k) elementwise passes.  The
+solver and the diagnostics read the similarity only through its operator
+(``n``, ``row_sum``, ``matvec``), built once per
 :class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix`: for stored
 pairs both orientations grouped by row degree, O(nnz k) per product in about
 one grouped reduction per distinct degree, or the partition-factored
@@ -143,12 +149,15 @@ class _Problem:
     outside by :meth:`copies`; :func:`run` forms its own.  ``pi=None``
     (:func:`update_left`) skips the check and the pi constants: the left
     sweep never reads pi.  Rows whose left weights ``alpha r_i + lam``
-    vanish are inactive: their left copy keeps its old value.
+    vanish are inactive: their left copy keeps its old value.  The methods
+    run the divergence's raw kernels (``rule``), so the copies they read
+    must have been checked and, where a method says so, clamped.
     """
 
     def __init__(self, pi, similarity, config):
         spec = config.divergence
-        self.spec, self.alpha, self.lam = spec, config.alpha, config.lam
+        self.spec, self.rule = spec, spec._rule
+        self.alpha, self.lam = config.alpha, config.lam
         if pi is not None:
             raw = np.asarray(pi, dtype=np.float64)
             pi = validate_probabilities(spec, raw)
@@ -162,7 +171,7 @@ class _Problem:
             if similarity.n != pi.shape[0]:
                 raise ShapeError(f"similarity is over {similarity.n} instances, "
                                  f"pi over {pi.shape[0]}")
-            self.pi, self.phi_pi = pi, spec.phi_terms(pi)
+            self.pi, self.phi_pi = pi, self.rule.phi_terms(pi)
         self.op = similarity.operator
         r = self.op.row_sum
         self.row_sum = r[:, None]
@@ -173,8 +182,11 @@ class _Problem:
         self.ones = np.ones(spec.dimension)
 
     def copies(self, **arrays):
-        """The named copies as float64 arrays, each checked to be finite and (n, k)."""
-        return _finite_of_shape((self.op.n, self.spec.dimension), **arrays)
+        """The named copies as float64 arrays, each checked: finite, (n, k) and in the domain."""
+        checked = _finite_of_shape((self.op.n, self.spec.dimension), **arrays)
+        for a in checked:
+            self.spec.check_domain(a)
+        return checked
 
     def right(self, y_left):
         """All right copies at once: weighted means of pi, neighbours and own left copy."""
@@ -186,22 +198,27 @@ class _Problem:
 
         An inactive row's dual is patched to its own ``grad phi(yr_i)``,
         which lies in the gradient range, before the inverse; its old copy is
-        put back after.
+        put back after.  The public gradient inverse makes no domain scan: it
+        checks the dual only where the gradient range is bounded (``RangeError``)
+        and clamps its output once.
         """
         nbr = self.op.matvec(grad_right)
         dual = (self.alpha * nbr + self.lam * grad_right) / self.left_denom
-        dual[self.inactive] = grad_right[self.inactive]
+        inactive = self.inactive
+        if inactive.size:
+            dual[inactive] = grad_right[inactive]
         updated = self.spec.grad_inv(dual)
         if self.spec.simplex_domain:
             updated /= (updated @ self.ones)[:, None]
-        updated[self.inactive] = y_left[self.inactive]
+        if inactive.size:
+            updated[inactive] = y_left[inactive]
         return updated, nbr
 
     def objective(self, y_left, y_right, lam=None, grad_right=None, nbr_grad=None):
-        """J at the given copies; ``lam`` overrides the coupling.
+        """J at the given copies, already clamped; ``lam`` overrides the coupling.
 
         One array passed as both copies (the single-copy objective J0) has
-        its phi terms and its clamp computed once.
+        its phi terms computed once.
 
         ``grad_right`` (grad phi of the right copies) and ``nbr_grad`` (its
         product with the similarity) may be passed in when the caller
@@ -214,15 +231,12 @@ class _Problem:
         global sums (sum phi(pi) - sum phi(yr) - ...) raises J's noise floor
         about tenfold.
         """
-        spec = self.spec
+        rule = self.rule
         lam = self.lam if lam is None else lam
-        shared = y_left is y_right
-        phi_l = spec.phi_terms(y_left)
-        phi_r = phi_l if shared else spec.phi_terms(y_right)
+        phi_l = rule.phi_terms(y_left)
+        phi_r = phi_l if y_left is y_right else rule.phi_terms(y_right)
         if grad_right is None:
-            grad_right = spec.grad(y_right)
-        y_left = spec.clamp(y_left)
-        y_right = y_left if shared else spec.clamp(y_right)
+            grad_right = rule.grad(y_right)
         total = float(np.sum(self.phi_pi - phi_r - (self.pi - y_right) * grad_right))
         if self.alpha > 0.0:
             if nbr_grad is None:
@@ -234,11 +248,16 @@ class _Problem:
             total += lam * float(np.sum(phi_l - phi_r - (y_left - y_right) * grad_right))
         return total
 
+    def j0(self, Y):
+        """The single-copy objective J0 at ``Y``: J with ``Y``, clamped once, as both copies."""
+        Y = self.spec.clamp(Y)
+        return self.objective(Y, Y, lam=0.0)
+
     def grad_j0(self, Y):
-        """Gradient of the single-copy objective J0 at ``Y``."""
-        spec = self.spec
-        G = spec.grad(Y)
-        H = spec.hess_diag(Y)
+        """Gradient of J0 at ``Y``; phi's derivatives are taken at ``Y`` clamped."""
+        clamped = self.spec.clamp(Y)
+        G = self.rule.grad(clamped)
+        H = self.rule.hess_diag(clamped)
         grad = H * (Y - self.pi)
         if self.alpha > 0.0:
             nbr_g = self.op.matvec(G)
@@ -265,13 +284,14 @@ def objective_j0(Y, pi, similarity, config) -> float:
     """Single-copy objective: fit term plus the similarity-weighted pair term."""
     problem = _Problem(pi, similarity, config)
     (Y,) = problem.copies(Y=Y)
-    return problem.objective(Y, Y, lam=0.0)
+    return problem.j0(Y)
 
 
 def objective_j(state: SolverState, pi, similarity, config) -> float:
     """Split objective over the state's left and right copies."""
     problem = _Problem(pi, similarity, config)
-    return problem.objective(*problem.copies(y_left=state.y_left, y_right=state.y_right))
+    y_left, y_right = problem.copies(y_left=state.y_left, y_right=state.y_right)
+    return problem.objective(problem.spec.clamp(y_left), problem.spec.clamp(y_right))
 
 
 def update_right(j: int, state: SolverState, pi, similarity, config) -> np.ndarray:
@@ -369,20 +389,22 @@ def run(pi, similarity: SimilarityMatrix, config: SolverConfig,
     (Labeling, SolverState)
     """
     problem = _Problem(pi, similarity, config)
-    spec = problem.spec
+    spec, grad = problem.spec, problem.rule.grad
     n, k = problem.pi.shape
     y_left = np.full((n, k), 1.0 / k)
     y_right = np.full((n, k), 1.0 / k)
-    trace = [_finite(0, problem.objective(y_left, y_right))]
+    trace = [_finite(0, problem.objective(spec.clamp(y_left), spec.clamp(y_right)))]
     history = [(y_left.copy(), y_right.copy())] if record_copies else None
     converged = False
     iteration = 0
     for iteration in range(1, config.max_iters + 1):
+        # each copy is clamped once; grad phi, phi and J all read the clamped copy
         y_right = problem.right(y_left)
-        grad_right = spec.grad(y_right)
+        clamped_right = spec.clamp(y_right)
+        grad_right = grad(clamped_right)
         y_left, nbr_grad = problem.left(grad_right, y_left)
-        value = _finite(iteration, problem.objective(y_left, y_right, grad_right=grad_right,
-                                                     nbr_grad=nbr_grad))
+        value = _finite(iteration, problem.objective(spec.clamp(y_left), clamped_right,
+                                                     grad_right=grad_right, nbr_grad=nbr_grad))
         trace.append(value)
         if history is not None:
             history.append((y_left.copy(), y_right.copy()))
@@ -472,7 +494,7 @@ def minimize_j0(pi, similarity, config):
 def _minimize_j0(problem):
     spec = problem.spec
     Y = _project_domain(problem.pi.copy(), spec)
-    value = problem.objective(Y, Y, lam=0.0)
+    value = problem.j0(Y)
     g = problem.grad_j0(Y)
     step = 1.0
     for _ in range(_J0_MAX_ITERS):
@@ -481,7 +503,7 @@ def _minimize_j0(problem):
             Y_new = _project_domain(Y - trial * g, spec)
             if float(np.abs(Y_new - Y).max()) < _J0_TOL:
                 return Y
-            v_new = problem.objective(Y_new, Y_new, lam=0.0)
+            v_new = problem.j0(Y_new)
             if v_new < value:
                 break
             trial *= 0.5
@@ -521,8 +543,8 @@ def lambda_threshold(pi, similarity, config, state: SolverState, j0_minimizer=No
         y_star = _minimize_j0(problem)
     else:
         (y_star,) = problem.copies(j0_minimizer=j0_minimizer)
-    numerator = (problem.objective(y_star, y_star, lam=0.0)
-                 - problem.objective(y_left, y_right, lam=0.0))
+    clamp = problem.spec.clamp
+    numerator = problem.j0(y_star) - problem.objective(clamp(y_left), clamp(y_right), lam=0.0)
     denominator = float(per_row.sum())
     if denominator < 1e-15:
         raise DivisionDegenerateError(

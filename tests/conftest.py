@@ -414,6 +414,159 @@ def fd_projected_gradient_j0(pi, similarity, config, iters=3000):
     return Y
 
 
+class CheckedProblem:
+    """The solver's per-problem constants, half-steps and J, all through checked evaluators.
+
+    The direct form ``solver.run`` and ``solver.lambda_threshold`` must
+    reproduce bit for bit: each phi, gradient, Hessian diagonal and gradient
+    inverse goes through the public :class:`DivergenceSpec` evaluator, which
+    checks and clamps its argument on every call, and J clamps both copies
+    itself; every sum runs in the solver's order.
+    """
+
+    def __init__(self, pi, similarity, config):
+        from bregman_consensus.divergences import validate_probabilities
+
+        spec = self.spec = config.divergence
+        self.alpha, self.lam = config.alpha, config.lam
+        self.pi = validate_probabilities(spec, pi)
+        self.phi_pi = spec.phi_terms(self.pi)
+        self.op = similarity.operator
+        r = self.op.row_sum
+        self.row_sum = r[:, None]
+        self.right_denom = (1.0 + self.alpha * r + self.lam)[:, None]
+        left = self.alpha * r + self.lam
+        self.inactive = np.flatnonzero(left <= 0.0)
+        self.left_denom = np.where(left > 0.0, left, 1.0)[:, None]
+
+    def right(self, y_left):
+        nbr = self.op.matvec(y_left)
+        return (self.pi + self.alpha * nbr + self.lam * y_left) / self.right_denom
+
+    def left(self, grad_right, y_left):
+        nbr = self.op.matvec(grad_right)
+        dual = (self.alpha * nbr + self.lam * grad_right) / self.left_denom
+        dual[self.inactive] = grad_right[self.inactive]
+        updated = self.spec.grad_inv(dual)
+        if self.spec.simplex_domain:
+            updated /= (updated @ np.ones(self.spec.dimension))[:, None]
+        updated[self.inactive] = y_left[self.inactive]
+        return updated, nbr
+
+    def objective(self, y_left, y_right, lam=None, grad_right=None, nbr_grad=None):
+        spec = self.spec
+        lam = self.lam if lam is None else lam
+        shared = y_left is y_right
+        phi_l = spec.phi_terms(y_left)
+        phi_r = phi_l if shared else spec.phi_terms(y_right)
+        if grad_right is None:
+            grad_right = spec.grad(y_right)
+        y_left = spec.clamp(y_left)
+        y_right = y_left if shared else spec.clamp(y_right)
+        total = float(np.sum(self.phi_pi - phi_r - (self.pi - y_right) * grad_right))
+        if self.alpha > 0.0:
+            if nbr_grad is None:
+                nbr_grad = self.op.matvec(grad_right)
+            pair = np.sum(self.row_sum * (phi_l - phi_r + y_right * grad_right)
+                          - y_left * nbr_grad)
+            total += self.alpha * max(float(pair), 0.0)
+        if lam > 0.0:
+            total += lam * float(np.sum(phi_l - phi_r - (y_left - y_right) * grad_right))
+        return total
+
+    def grad_j0(self, Y):
+        G = self.spec.grad(Y)
+        H = self.spec.hess_diag(Y)
+        grad = H * (Y - self.pi)
+        if self.alpha > 0.0:
+            grad += self.alpha * (self.row_sum * G - self.op.matvec(G))
+            grad += self.alpha * H * (self.row_sum * Y - self.op.matvec(Y))
+        return grad
+
+    def minimize_j0(self):
+        from bregman_consensus.solver import _J0_MAX_ITERS, _J0_TOL, _project_domain
+
+        Y = _project_domain(self.pi.copy(), self.spec)
+        value = self.objective(Y, Y, lam=0.0)
+        g = self.grad_j0(Y)
+        step = 1.0
+        for _ in range(_J0_MAX_ITERS):
+            trial = step
+            while True:
+                Y_new = _project_domain(Y - trial * g, self.spec)
+                if float(np.abs(Y_new - Y).max()) < _J0_TOL:
+                    return Y
+                v_new = self.objective(Y_new, Y_new, lam=0.0)
+                if v_new < value:
+                    break
+                trial *= 0.5
+            g_new = self.grad_j0(Y_new)
+            s, y = Y_new - Y, g_new - g
+            sy = float(np.vdot(s, y))
+            if sy > 0.0:
+                step = min(max(float(np.vdot(s, s)) / sy, 1e-10), 1e6)
+            else:
+                step = min(trial * 2.0, 1e6)
+            Y, value, g = Y_new, v_new, g_new
+        return Y
+
+
+def checked_run(pi, similarity, config, record_copies=False):
+    """``solver.run`` on :class:`CheckedProblem`: (probabilities, labels, state).
+
+    The final copies are averaged and normalized by ``solver._finalize``,
+    which reads no divergence kernel.
+    """
+    from bregman_consensus.exceptions import NonFiniteObjectiveError
+    from bregman_consensus.solver import SolverState, _finalize, _stops
+
+    def finite(iteration, value):
+        if not np.isfinite(value):
+            raise NonFiniteObjectiveError(f"objective is {value!r} at iteration {iteration}")
+        return value
+
+    problem = CheckedProblem(pi, similarity, config)
+    spec = problem.spec
+    n, k = problem.pi.shape
+    y_left = np.full((n, k), 1.0 / k)
+    y_right = np.full((n, k), 1.0 / k)
+    trace = [finite(0, problem.objective(y_left, y_right))]
+    history = [(y_left.copy(), y_right.copy())] if record_copies else None
+    iteration = 0
+    for iteration in range(1, config.max_iters + 1):
+        y_right = problem.right(y_left)
+        grad_right = spec.grad(y_right)
+        y_left, nbr_grad = problem.left(grad_right, y_left)
+        trace.append(finite(iteration, problem.objective(y_left, y_right, grad_right=grad_right,
+                                                         nbr_grad=nbr_grad)))
+        if history is not None:
+            history.append((y_left.copy(), y_right.copy()))
+        if _stops(trace[-2], trace[-1], config.epsilon):
+            break
+    probs, labels = _finalize(y_left, y_right, spec)
+    return probs, labels, SolverState(y_left=y_left, y_right=y_right, iteration=iteration,
+                                      objective_trace=trace, copy_history=history)
+
+
+def checked_lambda_threshold(pi, similarity, config, state):
+    """``solver.lambda_threshold`` on :class:`CheckedProblem`, its own J0 descent included."""
+    from bregman_consensus.exceptions import DivisionDegenerateError
+
+    problem = CheckedProblem(pi, similarity, config)
+    y_left, y_right = state.y_left, state.y_right
+    per_row = np.atleast_1d(problem.spec.bregman(y_left, y_right))
+    if float(per_row.max()) <= 1e-9:
+        return config.lam
+    y_star = problem.minimize_j0()
+    numerator = (problem.objective(y_star, y_star, lam=0.0)
+                 - problem.objective(y_left, y_right, lam=0.0))
+    denominator = float(per_row.sum())
+    if denominator < 1e-15:
+        raise DivisionDegenerateError(
+            f"copies reported distinct but divergence sum is {denominator}")
+    return max(numerator / denominator, 0.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -236,6 +236,21 @@ def test_truth_of_another_length_exits_2(tmp_path, capsys):
     assert "truth file has 2 labels, expected 3" in capsys.readouterr().err
 
 
+def test_truth_of_another_length_writes_no_output(tmp_path, capsys):
+    # the truth file used to be read after the solve, once every output was on disk
+    (tmp_path / "pi.csv").write_text("0.3,0.7\n0.6,0.4\n0.5,0.5\n")
+    (tmp_path / "sim.txt").write_text("0,1,0.5\n1,2,0.9\n")
+    (tmp_path / "truth.csv").write_text("0\n1\n")
+    outputs = [tmp_path / name for name in ("labels.csv", "trace.csv", "report.txt")]
+    code = main(["run", "--pi", str(tmp_path / "pi.csv"),
+                 "--similarity", str(tmp_path / "sim.txt"), "--truth", str(tmp_path / "truth.csv"),
+                 "--labels-out", str(outputs[0]), "--trace-out", str(outputs[1]),
+                 "--diagnostics-out", str(outputs[2])])
+    assert code == 2
+    assert "truth file has 2 labels, expected 3" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
 def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypatch):
     import dataclasses
 

@@ -1,6 +1,8 @@
 """Divergence family: frozen values, domain errors, and stated invariants."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -114,6 +116,16 @@ class TestDomainHandling:
         assert spec.kind is parse_divergence(token)
         assert spec == divergence_spec(parse_divergence(token), 2)
         assert np.isfinite(spec.phi(interior_points(token, np.random.default_rng(0), 1, 2)[0]))
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    def test_spec_pickles_and_copies_with_its_rule(self, token):
+        # the spec resolves its kind's rule once; the rule's kernels are
+        # lambdas, which pickle cannot store
+        spec = divergence_spec(token, 3, domain_floor=1e-9)
+        point = interior_points(token, np.random.default_rng(0), 1, 3)[0]
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+            assert twin == spec
+            assert twin.grad(point).tobytes() == spec.grad(point).tobytes()
 
     @pytest.mark.parametrize("bad", [5, None, 2.5, "KL", "mahalanobis", ["kl"]], ids=repr)
     @pytest.mark.parametrize("build", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregman_consensus.diagnostics import hessian_blocks
-from bregman_consensus.divergences import divergence_spec
+from bregman_consensus.divergences import DivergenceSpec, divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity
 from bregman_consensus.exceptions import (ArgumentError, BregmanConsensusError, DomainError,
                                          NonFiniteObjectiveError, ShapeError)
@@ -32,6 +33,8 @@ from bregman_consensus.solver import (
 
 from conftest import (
     ALL_TOKENS,
+    checked_lambda_threshold,
+    checked_run,
     doubling_minimize_j0,
     eq_left_objective,
     eq_right_objective,
@@ -437,13 +440,15 @@ def test_every_entry_rejects_a_bad_pi_as_run_does(case, entry, rng):
     assert str(from_entry.value) == str(from_run.value)
 
 
-# a change that makes a valid 3-by-2 copy invalid
+# a change that makes a valid 3-by-2 gen-i copy invalid, and the error it raises
+_OUT_OF_DOMAIN = re.escape("gen-i: coordinate -5.0 below domain lower bound 0.0")
 _BAD_COPY = {
-    "nan-entry": _with_entry(np.nan),
-    "inf-entry": _with_entry(np.inf),
-    "extra-row": lambda y: np.vstack([y, y[:1]]),
-    "extra-column": lambda y: np.hstack([y, y[:, :1]]),
-    "flat": np.ravel,
+    "nan-entry": (_with_entry(np.nan), ShapeError),
+    "inf-entry": (_with_entry(np.inf), ShapeError),
+    "extra-row": (lambda y: np.vstack([y, y[:1]]), ShapeError),
+    "extra-column": (lambda y: np.hstack([y, y[:, :1]]), ShapeError),
+    "flat": (np.ravel, ShapeError),
+    "out-of-domain": (_with_entry(-5.0), DomainError),
 }
 _COPY_ENTRIES = {
     "objective_j": lambda pi, s, cfg, state: objective_j(state, pi, s, cfg),
@@ -459,14 +464,17 @@ _COPY_ENTRIES = {
 @pytest.mark.parametrize("case", sorted(_BAD_COPY))
 def test_every_entry_rejects_bad_copies(case, entry, rng):
     # objective_j0 used to return nan for a NaN Y, and a 4-row state on 3
-    # nodes failed in numpy broadcasting rather than with ShapeError
+    # nodes failed in numpy broadcasting rather than with ShapeError;
+    # update_right returned a right copy outside the domain for a -5 entry,
+    # and hessian_blocks accepted it
     pi = interior_points("gen-i", rng, 3, 2)
     s = random_similarity(rng, 3, density=1.0)
     cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), alpha=0.5, lam=0.1)
     y_left, y_right = interior_points("gen-i", rng, 3, 2), interior_points("gen-i", rng, 3, 2)
     _COPY_ENTRIES[entry](pi, s, cfg, _state(y_left, y_right))
-    corrupt = _BAD_COPY[case]
-    with pytest.raises(ShapeError, match="y_left|y_right|Y"):
+    corrupt, error = _BAD_COPY[case]
+    match = _OUT_OF_DOMAIN if error is DomainError else "y_left|y_right|Y"
+    with pytest.raises(error, match=match):
         _COPY_ENTRIES[entry](pi, s, cfg, _state(corrupt(y_left), corrupt(y_right)))
 
 
@@ -477,8 +485,10 @@ def test_lambda_threshold_rejects_a_bad_supplied_minimizer(case, rng):
     cfg = SolverConfig(divergence=divergence_spec("gen-i", 2), alpha=0.5, lam=0.1)
     state = _state(interior_points("gen-i", rng, 3, 2), interior_points("gen-i", rng, 3, 2))
     lambda_threshold(pi, s, cfg, state, j0_minimizer=pi)
-    with pytest.raises(ShapeError, match="j0_minimizer"):
-        lambda_threshold(pi, s, cfg, state, j0_minimizer=_BAD_COPY[case](pi))
+    corrupt, error = _BAD_COPY[case]
+    match = _OUT_OF_DOMAIN if error is DomainError else "j0_minimizer"
+    with pytest.raises(error, match=match):
+        lambda_threshold(pi, s, cfg, state, j0_minimizer=corrupt(pi))
 
 
 class TestLambdaThreshold:
@@ -718,6 +728,20 @@ def test_stored_pair_relabelling_permutes_product_and_run(token, n, k, layout, s
 _EPSILONS = (1e-6, 1e-10, 1e-14, 1e-16)
 
 
+def _bitwise_states(got, want):
+    """Two solver states agree bit for bit: iteration, trace, copies and history."""
+    assert got.iteration == want.iteration
+    assert np.array(got.objective_trace).tobytes() == np.array(want.objective_trace).tobytes()
+    assert got.y_left.tobytes() == want.y_left.tobytes()
+    assert got.y_right.tobytes() == want.y_right.tobytes()
+    if want.copy_history is None:
+        assert got.copy_history is None
+        return
+    assert len(got.copy_history) == len(want.copy_history)
+    for (a, b), (c, d) in zip(got.copy_history, want.copy_history):
+        assert a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 6), k=st.integers(2, 4),
        alpha=weights, lam=weights, recorded=st.sampled_from(_EPSILONS),
@@ -743,16 +767,12 @@ def test_prefix_is_bitwise_a_fresh_run(token, n, k, alpha, lam, recorded, target
             prefix(state, target_cfg)
     else:
         labeling, got = prefix(state, target_cfg)
-        assert got.iteration == labeling.iterations_used == fresh.iteration
+        assert labeling.iterations_used == fresh.iteration
         assert labeling.converged == fresh_labeling.converged
-        assert np.array(got.objective_trace).tobytes() == np.array(fresh.objective_trace).tobytes()
-        for a, b in ((got.y_left, fresh.y_left), (got.y_right, fresh.y_right),
-                     (labeling.probabilities, fresh_labeling.probabilities),
+        _bitwise_states(got, fresh)
+        for a, b in ((labeling.probabilities, fresh_labeling.probabilities),
                      (labeling.labels, fresh_labeling.labels)):
             assert a.tobytes() == b.tobytes()
-        assert len(got.copy_history) == len(fresh.copy_history)
-        for (a, b), (c, d) in zip(got.copy_history, fresh.copy_history):
-            assert a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
     with pytest.raises(ArgumentError, match="copy history"):
         prefix(dataclasses.replace(state, copy_history=None), target_cfg)
 
@@ -762,6 +782,115 @@ def test_prefix_is_bitwise_a_fresh_run(token, n, k, alpha, lam, recorded, target
     assert len(state.copy_history) == len(kept[3])
     for (a, b), (c, d) in zip(state.copy_history, kept[3]):
         assert a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
+
+
+def _same_outcome(call, reference):
+    """``call()`` and ``reference()`` both return, or raise alike; the values or None."""
+    try:
+        want = reference()
+    except BregmanConsensusError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            call()
+        return None, None
+    return call(), want
+
+
+def _oracle_problem(token, n, k, alpha, lam, backing, isolated, seed, hard=False, floor=1e-12,
+                    max_iters=1000):
+    """(pi, similarity, config) for the checked-reference tests.
+
+    ``isolated`` gives node 0 (stored pairs: nodes 0, n // 2 and n - 1) no
+    neighbour and sets lam to 0, so those rows are inactive in the left
+    sweep; ``hard`` makes about half the rows of pi one-hot.
+    """
+    rng = np.random.default_rng(seed)
+    pi = random_pi(token, rng, n, k)
+    if hard:
+        one_hot = rng.uniform(size=n) < 0.5
+        pi[one_hot] = np.eye(k)[rng.integers(0, k, n)][one_hot]
+    if backing == "partitions" and n > 1:
+        parts = rng.integers(0, 3, (n, 4))
+        if isolated:
+            parts[0] = 3  # a cluster of its own in every partition
+        s = coassociation_similarity(parts)
+    else:
+        s = layout_similarity("gaps" if isolated else "random", rng, n)
+    cfg = SolverConfig(divergence=divergence_spec(token, k, domain_floor=floor), alpha=alpha,
+                       lam=0.0 if isolated else lam, epsilon=1e-12, max_iters=max_iters)
+    return pi, s, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 8), k=st.integers(2, 4),
+       alpha=weights, lam=weights, backing=st.sampled_from(["pairs", "partitions"]),
+       isolated=st.booleans(), hard=st.booleans(), floor=st.sampled_from([1e-12, 0.05, 0.3]),
+       record=st.booleans(), max_iters=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_run_is_bitwise_the_checked_reference(token, n, k, alpha, lam, backing, isolated, hard,
+                                              floor, record, max_iters, seed):
+    # the loop clamps each copy once and runs the raw kernels; the reference
+    # checks and clamps on every evaluator call.  One-hot rows of pi and a
+    # wide floor (above 1/k for k = 4) make the clamps move values: of pi,
+    # of right copies rounded below the floor, and of the uniform start
+    pi, s, cfg = _oracle_problem(token, n, k, alpha, lam, backing, isolated, seed, hard=hard,
+                                 floor=floor, max_iters=max_iters)
+    got, want = _same_outcome(lambda: run(pi, s, cfg, record_copies=record),
+                              lambda: checked_run(pi, s, cfg, record_copies=record))
+    if want is None:
+        return
+    labeling, state = got
+    probs, labels, reference = want
+    assert labeling.probabilities.tobytes() == probs.tobytes()
+    assert labeling.labels.tobytes() == labels.tobytes()
+    assert labeling.iterations_used == reference.iteration
+    _bitwise_states(state, reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 6), k=st.integers(2, 4),
+       alpha=weights, lam=weights, backing=st.sampled_from(["pairs", "partitions"]),
+       isolated=st.booleans(), hard=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_lambda_threshold_is_bitwise_the_checked_reference(token, n, k, alpha, lam, backing,
+                                                           isolated, hard, seed):
+    # the J0 descent clamps each iterate once per evaluation and runs the raw
+    # kernels; one-hot kl rows start it on the simplex's faces, where the
+    # clamp after renormalizing moves values.  At the default floor only, and
+    # no one-hot itakura-saito rows: those take the descent to its
+    # 20000-iteration cap (4 s), and under a wide floor the kl domain
+    # projection does not map its output to itself, so the halving never ends
+    pi, s, cfg = _oracle_problem(token, n, k, alpha, lam, backing, isolated, seed,
+                                 hard=hard and token != "itakura-saito")
+    try:
+        _, state = run(pi, s, cfg)
+    except BregmanConsensusError:
+        return  # run's failures are the other test's
+    got, want = _same_outcome(lambda: lambda_threshold(pi, s, cfg, state),
+                              lambda: checked_lambda_threshold(pi, s, cfg, state))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("token", ALL_TOKENS)
+@pytest.mark.parametrize("partitions", [False, True])
+def test_the_loop_makes_no_domain_scan(token, partitions, rng, monkeypatch):
+    # the copies are checked where they enter; a scan per kernel call would
+    # grow the count with the number of iterations
+    pi, s, cfg = random_instance(token, rng, 12, 3, epsilon=1e-300)
+    if partitions:
+        s = partition_similarity(rng, 12)
+    calls = []
+    check_domain = DivergenceSpec.check_domain
+
+    def counted(self, p):
+        calls.append(1)
+        return check_domain(self, p)
+
+    monkeypatch.setattr(DivergenceSpec, "check_domain", counted)
+    counts = []
+    for max_iters in (2, 20):
+        calls.clear()
+        _, state = run(pi, s, dataclasses.replace(cfg, max_iters=max_iters), record_copies=True)
+        assert state.iteration == max_iters
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 class TestNonFinite:
