@@ -27,13 +27,17 @@ nonblank line is a header when its first field is not a number, and every
 other line is a row of numbers, all rows the same width.  Probabilities are
 n-by-k reals; partitions n-by-r2 integers, one column per clusterer;
 similarity triplets ``i,j,s`` rows with 0-based indices, i != j, s in [0, 1]
-and each pair once; labels one integer per row.
-Every rejection is an :class:`InputFormatError` naming the file and line.
+and each pair once; labels one integer per row.  A file of at least 64 KiB
+is parsed by ``np.loadtxt`` from its path, which reads it in large chunks;
+a smaller one, or one that parse rejects, has its nonblank lines streamed
+to the same parser, with the same result.  Every rejection is an
+:class:`InputFormatError` naming the file and line.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -473,14 +477,16 @@ def _pair_key(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 def _first_repeat(lo: np.ndarray, hi: np.ndarray):
     """Position of the first pair equal to an earlier one, or None.
 
-    The indices are not yet range-checked, so ``hi`` is shifted to start at
-    0 before keying; a stable sort of the keys puts every repeat after the
-    earlier occurrences of its pair.
+    ``hi`` is shifted to start at 0 before keying.  Strictly ascending keys,
+    as a sorted file gives, hold no repeat; otherwise a stable sort of the
+    keys puts every repeat after the earlier occurrences of its pair.
     """
     if lo.size < 2:
         return None
     offset = hi - hi.min()
     key = _pair_key(lo, offset, int(offset.max()) + 1)
+    if np.all(key[1:] > key[:-1]):
+        return None
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
@@ -570,8 +576,20 @@ def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix
 
 
 # -- file ingestion ---------------------------------------------------------
-# np.loadtxt parses the rows and each loader checks its own rules on the
-# array; the line of a rejected row is found by re-reading the file.
+# A file is parsed by np.loadtxt in one of two ways, with the same result.
+# From _WHOLE_FILE_BYTES up numpy gets the path, and its C reader takes the
+# file in large chunks; smaller files, and any file that parse rejects, have
+# their nonblank lines streamed to it one Python string at a time.  numpy
+# reads a whitespace-only line as a one-field row, so a file holding one
+# goes to the stream.  Each loader then checks its own rules on the array;
+# the line of a rejected row is found by re-reading the file.
+
+# np.loadtxt's own open (numpy's datasource) costs about 60 us more than the
+# stream on a 48-row file, and the faster parse repays it from about 300 rows
+# of two reals (12 KB); the gate sits well above that crossover.
+_WHOLE_FILE_BYTES = 1 << 16
+# numpy's open decompresses by these suffixes; such names are streamed
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _is_header(line: str) -> bool:
@@ -580,6 +598,22 @@ def _is_header(line: str) -> bool:
         return False
     except ValueError:
         return True
+
+
+def _first_data_line(fh):
+    """``(lines before it, line)`` for the first data line of ``fh``, None if there is none.
+
+    Blank and whitespace-only lines are skipped, and the first other line is
+    a header when its first field is not a number.
+    """
+    after_header = False
+    for before, line in enumerate(fh):
+        if line.isspace():
+            continue
+        if after_header or not _is_header(line):
+            return before, line
+        after_header = True
+    return None
 
 
 def _numbered_data_lines(path) -> list:
@@ -607,14 +641,19 @@ def _reject_rows(path, bad: np.ndarray, message: str):
 def _read_table(path) -> np.ndarray:
     """The data rows of ``path`` as a (rows, width) float array, (0, 0) when there are none."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = (line for line in fh if not line.isspace())
-        first = next(lines, None)
-        if first is not None and _is_header(first):
-            first = next(lines, None)
-        if first is None:
+        found = _first_data_line(fh)
+        if found is None:
             return np.empty((0, 0))  # np.loadtxt warns on empty input
+        before, first = found
+        name = os.fsdecode(path)
+        if os.fstat(fh.fileno()).st_size >= _WHOLE_FILE_BYTES and not name.endswith(_COMPRESSED):
+            try:  # an absolute name: numpy's open fetches a name that reads as a URL
+                return np.loadtxt(os.path.abspath(name), dtype=np.float64, delimiter=",",
+                                  comments=None, ndmin=2, encoding="utf-8-sig", skiprows=before)
+            except ValueError:
+                pass  # numpy reads its own handle: fh still stands after the first data line
         try:
-            return _parse(itertools.chain([first], lines))
+            return _parse(itertools.chain([first], (line for line in fh if not line.isspace())))
         except ValueError:
             pass
     # locate the failure: the first line that does not parse next to the first one
@@ -671,7 +710,10 @@ def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     if second is not None:
         _reject_row(path, second, f"pair ({lo[second]}, {hi[second]}) repeats an earlier line")
     keep = vals != 0.0  # zero weights are not stored
-    return SimilarityMatrix(n, lo[keep], hi[keep], vals[keep])
+    rows, cols, vals = lo[keep], hi[keep], vals[keep]
+    for arr in (rows, cols, vals):  # owned and read-only: the constructor keeps them
+        arr.setflags(write=False)
+    return SimilarityMatrix(n, rows, cols, vals)
 
 
 def load_labels(path) -> np.ndarray:

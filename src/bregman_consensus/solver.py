@@ -460,10 +460,18 @@ def _project_simplex(v):
 
 
 def _project_domain(Y, spec):
+    """``Y`` clamped, or for ``kl`` its Euclidean projection onto {y >= floor, sum y = 1}.
+
+    That set is ``floor + scale * simplex`` with ``scale = 1 - k * floor``, so
+    the projection maps its own output to itself within rounding.
+    """
     if spec.simplex_domain:
-        Y = _project_simplex(Y)
-        Y = spec.clamp(Y)
-        return Y / Y.sum(axis=1, keepdims=True)
+        floor = spec.domain_floor
+        scale = 1.0 - spec.dimension * floor
+        if scale <= 0.0:
+            raise DomainError(f"{spec.kind.value}: domain_floor={floor!r} leaves no room on the "
+                              f"simplex in k={spec.dimension} dimensions (needs k * floor < 1)")
+        return floor + scale * _project_simplex((Y - floor) / scale)
     return spec.clamp(Y)
 
 

@@ -567,6 +567,40 @@ def checked_lambda_threshold(pi, similarity, config, state):
     return max(numerator / denominator, 0.0)
 
 
+def streamed_read_table(path):
+    """The data rows of ``path``, every nonblank line streamed to ``np.loadtxt``.
+
+    The direct form ``ensemble_inputs._read_table`` must reproduce bit for
+    bit, rejections included: the lines go to the parser one Python string
+    at a time after the optional header, and a failure is located by
+    parsing each data line next to the first.
+    """
+    import itertools
+
+    from bregman_consensus.ensemble_inputs import (_is_header, _numbered_data_lines, _parse,
+                                                   _reject_row)
+    from bregman_consensus.exceptions import InputFormatError
+
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is not None and _is_header(first):
+            first = next(lines, None)
+        if first is None:
+            return np.empty((0, 0))
+        try:
+            return _parse(itertools.chain([first], lines))
+        except ValueError:
+            pass
+    lines = [line for _, line in _numbered_data_lines(path)]
+    for row, line in enumerate(lines):
+        try:
+            _parse([lines[0], line])
+        except ValueError:
+            _reject_row(path, row, "expected a row of numbers as wide as the first")
+    raise InputFormatError(path, 0, "file does not parse")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

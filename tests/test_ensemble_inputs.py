@@ -27,6 +27,7 @@ from bregman_consensus.ensemble_inputs import (
     sparsify,
 )
 from bregman_consensus.exceptions import (
+    BregmanConsensusError,
     DomainError,
     EmptyEnsembleError,
     InputFormatError,
@@ -36,7 +37,7 @@ from bregman_consensus.exceptions import (
 from bregman_consensus.solver import SolverConfig, run
 
 from conftest import (argsort_csr, layout_similarity, partition_similarity, random_similarity,
-                      reduceat_matvec)
+                      reduceat_matvec, streamed_read_table)
 
 
 class TestAveraging:
@@ -666,3 +667,127 @@ class TestByteOrderMark:
         with pytest.raises(InputFormatError) as err:
             load_similarity_triplets(path)
         assert err.value.line_no == 3
+
+
+# -- the path parse and the stream ---------------------------------------------
+
+LOADERS = (load_prob_csv, load_partitions_csv, load_similarity_triplets, load_labels)
+cells = st.one_of(st.integers(0, 4).map(str), st.floats(0.0, 1.0).map(repr), finite.map(repr),
+                  st.sampled_from(["oops", "", " 1", "2 ", "nan", "-inf", "1e400", "1_0"]))
+# each line's end; a lone CR before an empty line reads as one CRLF
+endings = st.sampled_from(["\n", "\r\n", "\r"])
+# whitespace-only by str.isspace: the stream skips these lines, numpy does not
+spaces = st.sampled_from(["", " ", "\t", "  \t ", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"])
+
+
+@st.composite
+def data_files(draw):
+    """The bytes of a file in the input grammar, or near it."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(cells, min_size=width, max_size=width).map(",".join)
+    ragged = st.lists(cells, min_size=1, max_size=4).map(",".join)
+    line = st.one_of(row, row, row, spaces, ragged)
+    lines = draw(st.lists(spaces, max_size=2))
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["a", "p1,p2", "i,j,s", "#x, y"])))
+    lines += draw(st.lists(line, max_size=8))
+    text = "".join(body + draw(endings) for body in lines)
+    if text and draw(st.booleans()):
+        text = text[:-1]  # no final newline, or a CR left of a CRLF
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 9)) == 7:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]  # not UTF-8
+    return data
+
+
+def _outcome(loader, path):
+    """What ``loader`` returns, as bytes, or the exception it raises."""
+    try:
+        out = loader(path)
+    except (BregmanConsensusError, ValueError) as exc:  # ValueError: not UTF-8
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    arrays = (out.rows, out.cols, out.vals) if isinstance(out, SimilarityMatrix) else (out,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=data_files())
+def test_every_loader_reads_as_the_streamed_oracle(data):
+    # the gate at 0 sends every file with a data line to the path parse
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for loader in LOADERS:
+            with mock.patch.object(ensemble_inputs, "_read_table", streamed_read_table):
+                want = _outcome(loader, path)
+            with mock.patch.object(ensemble_inputs, "_WHOLE_FILE_BYTES", 0):
+                assert _outcome(loader, path) == want, loader.__name__
+            assert _outcome(loader, path) == want, loader.__name__
+
+
+class TestPathParse:
+    LEAD = "\r\n \t\r\np1,p2\r\n\r\n"  # blank lines and a header
+
+    @staticmethod
+    def _big_file(tmp_path, rows, inside="", lead=LEAD):
+        """``rows`` under a byte-order mark and ``lead``, with CRLF endings."""
+        lines = [f"{a!r},{b!r}" for a, b in rows.tolist()]
+        if inside:
+            lines.insert(len(lines) // 2, inside)
+        text = lead + "\r\n".join(lines) + "\r\n"
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert path.stat().st_size >= ensemble_inputs._WHOLE_FILE_BYTES
+        return path
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls, loadtxt = [], np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            calls.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    @pytest.mark.parametrize("lead", [LEAD, ""],
+                             ids=["blank-lines-and-header", "mark-on-the-first-row"])
+    def test_a_large_file_is_parsed_by_path(self, tmp_path, monkeypatch, lead):
+        rows = np.random.default_rng(18).uniform(size=(2000, 2))
+        path = self._big_file(tmp_path, rows, lead=lead)
+        calls = self._spy(monkeypatch)
+        assert _same_bits(load_prob_csv(path), rows)
+        assert len(calls) == 1
+        assert isinstance(calls[0], str) and os.path.samefile(calls[0], path)
+
+    def test_a_whitespace_only_line_inside_falls_back_to_the_stream(self, tmp_path,
+                                                                    monkeypatch):
+        rows = np.random.default_rng(18).uniform(size=(2000, 2))
+        path = self._big_file(tmp_path, rows, inside=" \t ")
+        calls = self._spy(monkeypatch)
+        assert _same_bits(load_prob_csv(path), rows)
+        assert isinstance(calls[0], str) and not isinstance(calls[1], str)
+
+    def test_a_compressed_suffix_keeps_the_stream(self, tmp_path, monkeypatch):
+        # numpy's open would read "big.csv.gz" as gzip data
+        rows = np.random.default_rng(18).uniform(size=(2000, 2))
+        path = self._big_file(tmp_path, rows).rename(tmp_path / "big.csv.gz")
+        calls = self._spy(monkeypatch)
+        assert _same_bits(load_prob_csv(path), rows)
+        assert not any(isinstance(fname, str) for fname in calls)
+
+    def test_a_sorted_triplet_file_is_kept_without_a_copy(self, tmp_path, monkeypatch):
+        s = random_similarity(np.random.default_rng(18), 60)
+        path = tmp_path / "sim.csv"
+        save_similarity_triplets(path, s)
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", mock.Mock(side_effect=argsort))
+        back = load_similarity_triplets(path, n=60)
+        assert not np.argsort.called  # ascending keys hold no repeat and need no sort
+        for a, b in ((back.rows, s.rows), (back.cols, s.cols), (back.vals, s.vals)):
+            assert _same_bits(a, b) and a.flags.owndata and not a.flags.writeable

@@ -33,12 +33,7 @@ def _column(layout, rng, n):
     return labels
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(2, 12), r2=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1))
-def test_partition_operator_matches_dense_oracle(data, n, r2, seed):
-    layouts = data.draw(st.lists(st.sampled_from(COLUMN_LAYOUTS), min_size=r2, max_size=r2))
-    k = data.draw(st.integers(1, n))
+def _check_against_dense_oracle(layouts, n, k, seed):
     rng = np.random.default_rng(seed)
     parts = np.column_stack([_column(layout, rng, n) for layout in layouts])
     s, oracle = coassociation_similarity(parts), dense_coassociation(parts)
@@ -47,8 +42,9 @@ def test_partition_operator_matches_dense_oracle(data, n, r2, seed):
     np.testing.assert_allclose(op.row_sum, want_op.row_sum, rtol=1e-12, atol=0.0)
     Y = rng.normal(size=(n, k))
     got, want = op.matvec(Y), want_op.matvec(Y)
-    # relative to the summed magnitudes, since a row's terms may cancel
-    assert np.all(np.abs(got - want) <= 1e-12 * want_op.matvec(np.abs(Y)))
+    # relative to the summed magnitudes, since a row's terms may cancel; a
+    # cluster adds Y_i and takes it out again, so |Y_i| counts as well
+    assert np.all(np.abs(got - want) <= 1e-12 * (want_op.matvec(np.abs(Y)) + np.abs(Y)))
     isolated = want_op.row_sum == 0.0
     zeros = np.zeros((int(isolated.sum()), k))
     assert op.row_sum[isolated].tobytes() == zeros[:, 0].tobytes()
@@ -60,6 +56,19 @@ def test_partition_operator_matches_dense_oracle(data, n, r2, seed):
         a, b = getattr(s, name), getattr(oracle, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert s.nnz == oracle.nnz
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), r2=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_partition_operator_matches_dense_oracle(data, n, r2, seed):
+    layouts = data.draw(st.lists(st.sampled_from(COLUMN_LAYOUTS), min_size=r2, max_size=r2))
+    _check_against_dense_oracle(layouts, n, data.draw(st.integers(1, n)), seed)
+
+
+def test_product_rounding_is_relative_to_the_row_itself():
+    # parts [[0, 0, 1], [0, 1, 1]]: row 0's error 2.8e-17 exceeds 1e-12 (|S| |Y|)_0 = 1.5e-17
+    _check_against_dense_oracle(["random"] * 3, n=2, k=1, seed=357862)
 
 
 @settings(max_examples=300, deadline=None)

@@ -644,13 +644,44 @@ def test_minimize_j0_stops_once_the_trial_no_longer_moves(token, monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 8), k=st.integers(2, 4),
-       scale=st.floats(1e-3, 1e8), seed=st.integers(0, 2**32 - 1))
-def test_project_domain_maps_its_output_to_itself(token, n, k, scale, seed):
+       scale=st.floats(1e-3, 1e8), share=st.floats(0.0, 0.999), seed=st.integers(0, 2**32 - 1))
+def test_project_domain_maps_its_output_to_itself(token, n, k, scale, share, seed):
     # minimize_j0 terminates because a vanishing trial step projects back
-    # onto the current point: measured 2.2e-16 (kl) and exactly 0 elsewhere
-    spec = divergence_spec(token, k)
+    # onto the current point, at any floor below 1/k, where the kl domain
+    # {y >= floor, sum y = 1} is not empty
+    floor = max(share / k, 1e-12)
+    spec = divergence_spec(token, k, domain_floor=floor)
     Y = _project_domain(np.random.default_rng(seed).normal(size=(n, k)) * scale, spec)
     assert float(np.abs(_project_domain(Y, spec) - Y).max()) < _J0_TOL
+    assert spec.clamp(Y).tobytes() == Y.tobytes()
+    if spec.simplex_domain:
+        assert np.all(np.abs(Y.sum(axis=1) - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("floor", [0.25, 0.3])
+def test_project_domain_rejects_a_kl_floor_that_leaves_no_simplex(floor):
+    with pytest.raises(DomainError, match=re.escape(f"domain_floor={floor!r} ") + ".* k=4 "):
+        _project_domain(np.full((2, 4), 0.25), divergence_spec("kl", 4, domain_floor=floor))
+
+
+def test_lambda_threshold_returns_under_a_wide_kl_floor(monkeypatch):
+    # the halving never ended here while the projection moved its own output
+    import bregman_consensus.solver as solver
+
+    calls = []
+    project = solver._project_simplex
+
+    def counted(v):
+        calls.append(1)
+        assert len(calls) < 10_000, "the J0 descent does not end"
+        return project(v)
+
+    monkeypatch.setattr(solver, "_project_simplex", counted)
+    pi = np.eye(2)[np.random.default_rng(0).integers(0, 2, 7)]
+    s = SimilarityMatrix.empty(7)
+    cfg = SolverConfig(divergence=divergence_spec("kl", 2, domain_floor=0.3), alpha=0.0, lam=0.0)
+    _, state = run(pi, s, cfg)
+    assert 0.0 < lambda_threshold(pi, s, cfg, state) < 1.0
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)
@@ -848,17 +879,16 @@ def test_run_is_bitwise_the_checked_reference(token, n, k, alpha, lam, backing, 
 @settings(max_examples=100, deadline=None)
 @given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 6), k=st.integers(2, 4),
        alpha=weights, lam=weights, backing=st.sampled_from(["pairs", "partitions"]),
-       isolated=st.booleans(), hard=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       isolated=st.booleans(), hard=st.booleans(), floor=st.sampled_from([1e-12, 0.05, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
 def test_lambda_threshold_is_bitwise_the_checked_reference(token, n, k, alpha, lam, backing,
-                                                           isolated, hard, seed):
+                                                           isolated, hard, floor, seed):
     # the J0 descent clamps each iterate once per evaluation and runs the raw
-    # kernels; one-hot kl rows start it on the simplex's faces, where the
-    # clamp after renormalizing moves values.  At the default floor only, and
-    # no one-hot itakura-saito rows: those take the descent to its
-    # 20000-iteration cap (4 s), and under a wide floor the kl domain
-    # projection does not map its output to itself, so the halving never ends
+    # kernels; one-hot kl rows start it on the simplex's faces.  No one-hot
+    # itakura-saito rows: those take the descent to its 20000-iteration cap
+    # (4 s).  A kl floor of 0.3 at k = 4 leaves no domain, which both reject
     pi, s, cfg = _oracle_problem(token, n, k, alpha, lam, backing, isolated, seed,
-                                 hard=hard and token != "itakura-saito")
+                                 hard=hard and token != "itakura-saito", floor=floor)
     try:
         _, state = run(pi, s, cfg)
     except BregmanConsensusError:
