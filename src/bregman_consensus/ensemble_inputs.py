@@ -10,9 +10,9 @@ with an absent (zero) diagonal and is read by the solver only through its
 * stored pairs: the upper triangle (i < j) with strictly positive weight,
   from triplet files, ``from_pairs``/``from_dense`` and ``sparsify``.  The
   operator is :class:`SimilarityOperator`: both orientations grouped by row
-  degree, O(nnz k) work per product in about one numpy call per distinct
-  degree plus a few per 16k entries, in a summation order fixed by the
-  layout;
+  degree, placed by one counting pass and a transpose per slab, O(nnz k)
+  work per product in about one numpy call per distinct degree plus a few
+  per 16k entries, in a summation order fixed by the layout;
 * partitions: ``coassociation_similarity`` keeps the n-by-r2 cluster ids,
   since the co-association is the ensemble's membership hypergraph
   S = (1/r2) sum_c B_c B_c^T - I (Strehl & Ghosh, "Cluster Ensembles", JMLR
@@ -174,18 +174,14 @@ class SimilarityMatrix:
 
         Row sums of this structure are the per-instance weights
         ``sum_j s_ij``.  The arrays are read-only and built anew by each
-        call, by the counting placement the :attr:`operator` is built from;
-        no solve reads them.
+        call, by the placement every :attr:`operator` build runs, with each
+        row at its CSR start; no solve reads them.
         """
-        degree, stored_at, mirrored_row, mirrored_at, order = _symmetrized_positions(self)
+        below = np.bincount(self.cols, minlength=self.n)
+        above = np.bincount(self.rows, minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        indices = np.empty(2 * self.nnz, dtype=np.int64)
-        data = np.empty(2 * self.nnz)
-        indices[stored_at] = self.cols
-        data[stored_at] = self.vals
-        indices[mirrored_at] = self.rows[order]
-        data[mirrored_at] = self.vals[order]
+        np.cumsum(below + above, out=indptr[1:])
+        indices, data = _symmetrized(self, indptr[:-1], below, above)
         for arr in (indptr, indices, data):
             arr.setflags(write=False)
         return indptr, indices, data
@@ -195,9 +191,10 @@ class PartitionSimilarity(SimilarityMatrix):
     """Co-association of a partition ensemble, kept as its cluster ids.
 
     ``clusters`` is (n, r2) with each column relabelled to 0..m_c-1.  The
-    :attr:`operator` is a :class:`PartitionOperator` over it; the stored
-    pairs are enumerated on first read of ``rows``, ``cols``, ``vals`` or
-    ``nnz`` and kept, which no solve does.
+    :attr:`operator` is a :class:`PartitionOperator` over it.  The pairs
+    are enumerated on first read of ``rows``, ``cols``, ``vals`` or ``nnz``
+    and kept; a solve reads none of them, but ``run --sparsify t`` with
+    t > 0 does, through :func:`sparsify`.
     """
 
     def __init__(self, clusters: np.ndarray):
@@ -247,54 +244,52 @@ class SimilarityOperator:
     each by degree and within a degree by node.  ``_cols`` and ``_vals``
     hold the 2 nnz entries in this layout; there is no other copy.
 
-    Consecutive slabs, or consecutive row-wise rows, are grouped into
-    chunks of at most ``_CHUNK`` entries; a longer row is a chunk of its
-    own.  A product gathers and scales one chunk for all m columns at once
-    and reduces it with one call per slab, or one ``reduceat``.  Whatever m,
-    a product makes about one reduction per distinct nonzero degree (at
-    most sqrt(4 nnz) of them) and three calls per ``_CHUNK`` entries; a
-    star makes two chunks and two reductions.
+    The build places each row at its layout start, by the counting
+    placement of ``symmetrized_csr``, then walks the blocks once: it
+    transposes each slab in place and packs consecutive slabs, or
+    consecutive row-wise runs, into chunks of at most ``_CHUNK`` entries; a
+    longer row is a chunk of its own.  A product gathers and scales one
+    chunk for all m columns at once and reduces it with one call per slab,
+    or one ``reduceat``.  Whatever m, a product makes about one reduction
+    per distinct nonzero degree (at most sqrt(4 nnz) of them) and three
+    calls per ``_CHUNK`` entries; a star makes two chunks and two reductions.
     """
 
     def __init__(self, similarity: SimilarityMatrix):
-        """Place each entry by index arithmetic on its symmetrized-CSR position.
-
-        Entry q of a slab's r-th row, at CSR position ``at = indptr[t] + q``,
-        goes to slot ``start + q * c' + r``; entry q of a row-wise row goes
-        to ``start + q``.  Per row that is ``at * step[t] + offset[t]``.
-        """
         n = self.n = similarity.n
-        rows, cols, vals = similarity.rows, similarity.cols, similarity.vals
-        degree, stored_at, mirrored_row, mirrored_at, order = _symmetrized_positions(similarity)
+        below = np.bincount(similarity.cols, minlength=n)  # mirrored entries per row
+        above = np.bincount(similarity.rows, minlength=n)  # stored entries per row
+        degree = below + above
         count = np.bincount(degree)
         row_wise = count < np.arange(count.size)  # per degree
         key = degree + count.size * row_wise[degree]
         by_key = np.argsort(key, kind="stable")
-        first = np.flatnonzero(np.diff(key[by_key], prepend=-1))  # each block's first row
-        size = np.diff(first, append=n)
-        d = degree[by_key[first]]
-        run = np.maximum(_CHUNK // np.maximum(d, 1), 1)  # rows per slab or row-wise run
-        # per row in layout order: its block and its place in its slab
-        block = np.repeat(np.arange(first.size), size)
-        wise = row_wise[d][block]
-        in_block = np.arange(n) - first[block]
-        in_slab = np.where(wise, 0, in_block % run[block])
-        slab_first = in_block - in_slab
-        step = np.where(wise, 1, np.minimum(run[block], size[block] - slab_first))
-        offset = (np.cumsum(d * size) - d * size)[block] + slab_first * d[block] + in_slab
-        offset -= (np.cumsum(degree) - degree)[by_key] * step  # CSR row start
         self._rank = np.empty(n, dtype=np.int64)  # each node's place in the layout
         self._rank[by_key] = np.arange(n)
-        step, offset = step[self._rank], offset[self._rank]
-        self._cols = np.empty(2 * rows.size, dtype=np.int64)
-        self._vals = np.empty(2 * rows.size)
-        slot = stored_at * step[rows] + offset[rows]
-        self._cols[slot] = cols
-        self._vals[slot] = vals
-        slot = mirrored_at * step[mirrored_row] + offset[mirrored_row]
-        self._cols[slot] = rows[order]
-        self._vals[slot] = vals[order]
-        self._chunks = _chunks(first, size, d, run, row_wise[d])
+        start = np.concatenate(([0], np.cumsum(degree[by_key])))  # row starts, by layout
+        self._cols, self._vals = _symmetrized(similarity, start[self._rank], below, above)
+        first = np.flatnonzero(np.diff(key[by_key], prepend=-1))  # each block's first row
+        size = np.diff(first, append=n)
+        block_degree = degree[by_key[first]]
+        chunks = []  # [e0, e1, row_wise, plan]; a slab plans as (r0, r1, b0 in chunk, d)
+        for r0, c, d, wise in zip(first.tolist(), size.tolist(), block_degree.tolist(),
+                                  row_wise[block_degree].tolist()):
+            run = max(_CHUNK // max(d, 1), 1)
+            for q0 in range(r0, r0 + c, run) if d else ():
+                q1 = min(q0 + run, r0 + c)
+                e0, e1 = int(start[q0]), int(start[q1])
+                if not wise:  # position-major: column r holds the slab's row r
+                    for arr in (self._cols, self._vals):
+                        arr[e0:e1] = arr[e0:e1].reshape(q1 - q0, d).T.ravel()
+                if not chunks or chunks[-1][2] != wise or e1 - chunks[-1][0] > _CHUNK:
+                    chunks.append([e0, e1, wise, []])
+                chunks[-1][1] = e1
+                chunks[-1][3].append((q0, q1, e0 - chunks[-1][0], d))
+        for chunk in chunks:
+            if chunk[2]:  # one reduceat over the chunk's rows, each from its first entry
+                rows = slice(chunk[3][0][0], chunk[3][-1][1])
+                chunk[3] = (rows, start[rows] - chunk[0])
+        self._chunks = [tuple(chunk) for chunk in chunks]
         self._width = max((e1 - e0 for e0, e1, _, _ in self._chunks), default=0)
         self.row_sum = self.matvec(np.ones((n, 1)))[:, 0]
         for arr in (self._rank, self._cols, self._vals, self.row_sum):
@@ -384,65 +379,35 @@ class PartitionOperator:
         return out.reshape(self.n, m)
 
 
-def _symmetrized_positions(similarity: SimilarityMatrix):
-    """Where both halves of the stored pairs fall in the symmetrized CSR, by counting.
+def _symmetrized(similarity: SimilarityMatrix, row_start, below, above):
+    """Both halves of the stored pairs as ``(indices, data)``, placed by counting.
 
-    The stored half (i < j) arrives sorted row-major.  In row t the mirrored
-    entries (columns below t) come first, then the stored ones (columns
-    above t).  A stable sort of the mirrored half by its row keeps each
-    row's columns ascending, since the stored half is ordered by them; it
-    sorts the unique keys ``row * m + position``, which a plain sort orders
-    faster than a stable argsort orders the rows.
-
-    Returns ``(degree, stored_at, mirrored_row, mirrored_at, order)``: each
-    row's length, the CSR position of every stored entry, and for the e-th
-    mirrored entry, stored pair ``order[e]`` read transposed, its row and
-    position.
+    Row t holds its ``below[t]`` mirrored entries (columns below t), then
+    its ``above[t]`` stored ones, from ``row_start[t]`` in ascending column
+    order.  The stored half (i < j) arrives sorted row-major, so a stable
+    sort of the mirrored half by row keeps each row ascending; it sorts the
+    unique keys ``row * m + position``, faster than a stable argsort of rows.
     """
-    n = similarity.n
-    rows, cols = similarity.rows, similarity.cols
+    rows, cols, vals = similarity.rows, similarity.cols, similarity.vals
     m = rows.size
-    below = np.bincount(cols, minlength=n)  # mirrored entries per row
-    above = np.bincount(rows, minlength=n)  # stored entries per row
+    indices = np.empty(2 * m, dtype=np.int64)
+    data = np.empty(2 * m)
     first = np.arange(m)
-    stored_at = first + np.cumsum(below)[rows]
+    at = (row_start + below - (np.cumsum(above) - above))[rows]
+    at += first
+    indices[at] = cols
+    data[at] = vals
     key = cols * m
     key += first
     key.sort()
     mirrored_row, order = np.divmod(key, max(m, 1))
-    mirrored_at = first + (np.cumsum(above) - above)[mirrored_row]
-    return below + above, stored_at, mirrored_row, mirrored_at, order
-
-
-def _chunks(first, size, degree, run, row_wise):
-    """The reduction plan of a :class:`SimilarityOperator` layout.
-
-    Each block (first row, rows, degree) is cut into runs of ``run`` rows,
-    in layout order, and consecutive runs of one kind are packed into
-    chunks of at most ``_CHUNK`` entries, or one run.  Returns the chunks as
-    ``(e0, e1, row_wise, plan)``.  A chunk of slabs has as ``plan`` its
-    slabs ``(r0, r1, b0, d)``: rows, first entry within the chunk, degree.
-    A row-wise chunk has its rows as a slice and each row's first entry
-    within the chunk.
-    """
-    chunks = []
-    entry = 0
-    for r0, c, d, s, wise in zip(first.tolist(), size.tolist(), degree.tolist(),
-                                 run.tolist(), row_wise.tolist()):
-        for q0 in range(r0, r0 + c, s) if d else ():
-            q1 = min(q0 + s, r0 + c)
-            end = entry + d * (q1 - q0)
-            if not chunks or chunks[-1][2] != wise or end - chunks[-1][0] > _CHUNK:
-                chunks.append([entry, end, wise, []])
-            chunks[-1][1] = end
-            chunks[-1][3].append((q0, q1, entry - chunks[-1][0], d))
-            entry = end
-    for chunk in chunks:
-        if chunk[2]:  # one reduceat over the chunk's rows
-            runs = chunk[3]
-            starts = [b0 + i * d for q0, q1, b0, d in runs for i in range(q1 - q0)]
-            chunk[3] = (slice(runs[0][0], runs[-1][1]), np.array(starts))
-    return [tuple(chunk) for chunk in chunks]
+    del key
+    at = (row_start - (np.cumsum(below) - below))[mirrored_row]
+    del mirrored_row
+    at += first
+    indices[at] = rows[order]
+    data[at] = vals[order]
+    return indices, data
 
 
 def _coassociation_pairs(clusters: np.ndarray):

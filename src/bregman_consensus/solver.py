@@ -70,6 +70,7 @@ tightly converged reference.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,10 +116,12 @@ class SolverConfig:
                                     f"got {value!r}")
         if not 0 < self.epsilon < np.inf:
             raise ArgumentError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ArgumentError(f"max_iters must be positive, got {self.max_iters}")
-        if self.threads < 1:
-            raise ArgumentError(f"threads must be positive, got {self.threads}")
+        for name in ("max_iters", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):  # range() would reject it mid-solve
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ArgumentError(f"{name} must be positive, got {value}")
 
 
 @dataclass

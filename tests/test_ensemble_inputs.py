@@ -206,6 +206,50 @@ class TestOperatorBuild:
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 30),
+           layout=st.sampled_from(["random", "empty", "gaps", "star", "partitions"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_placement_puts_each_row_ascending_at_any_row_start(self, n, layout, seed):
+        # the operator places rows at their layout starts, not at the CSR's
+        rng = np.random.default_rng(seed)
+        similarity = _stored_pairs(layout, rng, n)
+        indptr, indices, data = argsort_csr(similarity)
+        degree = np.diff(indptr)
+        order = rng.permutation(n)  # the rows' order in the placement
+        row_start = np.empty(n, dtype=np.int64)
+        row_start[order] = np.cumsum(degree[order]) - degree[order]
+        below = np.bincount(similarity.cols, minlength=n)
+        above = np.bincount(similarity.rows, minlength=n)
+        got_indices, got_data = ensemble_inputs._symmetrized(similarity, row_start, below,
+                                                             above)
+        assert got_indices.dtype == indices.dtype and got_data.dtype == data.dtype
+        assert got_indices.size == got_data.size == indices.size
+        for t in range(n):
+            got = slice(row_start[t], row_start[t] + degree[t])
+            want = slice(indptr[t], indptr[t + 1])
+            assert got_indices[got].tobytes() == indices[want].tobytes()
+            assert got_data[got].tobytes() == data[want].tobytes()
+
+    def test_build_peak_stays_below_3_75_times_the_stored_arrays(self):
+        rng = np.random.default_rng(16)
+        n, m = 16_000, 128_000
+        i, j = rng.integers(0, n, 2 * m), rng.integers(0, n, 2 * m)
+        key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+        key = rng.permutation(key[key // n != key % n])[:m]
+        similarity = SimilarityMatrix.from_pairs(n, key // n, key % n,
+                                                 rng.uniform(0.05, 1.0, m))
+        assert similarity.nnz == m
+        tracemalloc.start()
+        try:
+            op = SimilarityOperator(similarity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = similarity.rows.nbytes + similarity.cols.nbytes + similarity.vals.nbytes
+        assert peak < 3.75 * stored, peak / stored  # the operator keeps 4/3 of it
+        assert op._cols.size == 2 * m
+
 
 def _star(rng, n):
     """One random hub joined to every other node, as stored pairs."""

@@ -383,6 +383,22 @@ class TestRun:
             SolverConfig(divergence=spec, epsilon=0.0)
         with pytest.raises(ArgumentError, match="max_iters must be positive, got 0"):
             SolverConfig(divergence=spec, max_iters=0)
+        with pytest.raises(ArgumentError, match="threads must be positive, got 0"):
+            SolverConfig(divergence=spec, threads=0)
+        # range() raised a bare TypeError mid-solve; a fractional thread count passed silently
+        for name, value in [("max_iters", 2.5), ("max_iters", math.nan), ("max_iters", 3.0),
+                            ("max_iters", "3"), ("threads", 1.5)]:
+            with pytest.raises(ArgumentError, match=f"{name} must be an integer, got "
+                                                    + re.escape(repr(value))):
+                SolverConfig(divergence=spec, **{name: value})
+        from bregman_consensus import BregmanConsensus
+
+        with pytest.raises(ArgumentError, match="max_iters must be an integer, got 2.5"):
+            BregmanConsensus(max_iter=2.5).fit([[1.0, 0.0], [0.5, 0.5]],
+                                               np.array([[0.0, 0.5], [0.5, 0.0]]))
+        cfg = SolverConfig(divergence=spec, max_iters=np.int32(3), threads=np.int64(2))
+        labeling, _ = run(np.array([[0.6, 0.4], [0.3, 0.7]]), SimilarityMatrix.empty(2), cfg)
+        assert labeling.iterations_used <= 3
 
     def test_signed_domain_finalization(self, rng):
         # squared-loss runs can average to negative coordinates; labels come
