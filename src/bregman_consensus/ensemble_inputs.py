@@ -27,10 +27,10 @@ nonblank line is a header when its first field is not a number, and every
 other line is a row of numbers, all rows the same width.  Probabilities are
 n-by-k reals; partitions n-by-r2 integers, one column per clusterer;
 similarity triplets ``i,j,s`` rows with 0-based indices, i != j, s in [0, 1]
-and each pair once; labels one integer per row.  A file of at least 64 KiB
-is parsed by ``np.loadtxt`` from its path, which reads it in large chunks;
-a smaller one, or one that parse rejects, has its nonblank lines streamed
-to the same parser, with the same result.  Every rejection is an
+and each pair once; labels one integer per row.  A file is parsed by
+``np.loadtxt`` from its path, which reads it in large chunks; a compressed
+name, or a file that parse rejects, has its data lines streamed to the same
+parser, with the same result.  Every rejection is an
 :class:`InputFormatError` naming the file and line.
 """
 
@@ -541,18 +541,14 @@ def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix
 
 
 # -- file ingestion ---------------------------------------------------------
-# A file is parsed by np.loadtxt in one of two ways, with the same result.
-# From _WHOLE_FILE_BYTES up numpy gets the path, and its C reader takes the
-# file in large chunks; smaller files, and any file that parse rejects, have
-# their nonblank lines streamed to it one Python string at a time.  numpy
-# reads a whitespace-only line as a one-field row, so a file holding one
-# goes to the stream.  Each loader then checks its own rules on the array;
-# the line of a rejected row is found by re-reading the file.
+# A file is parsed by np.loadtxt from its path, and numpy's C reader takes it
+# in large chunks.  A name numpy's open would decompress, and a file that
+# parse rejects, has its data lines streamed to the same parser one Python
+# string at a time, with the same result.  numpy reads a whitespace-only line
+# as a one-field row, so a file holding one goes to the stream.  Each loader
+# then checks its own rules on the array; the line of a rejected row is found
+# by re-reading the file.
 
-# np.loadtxt's own open (numpy's datasource) costs about 60 us more than the
-# stream on a 48-row file, and the faster parse repays it from about 300 rows
-# of two reals (12 KB); the gate sits well above that crossover.
-_WHOLE_FILE_BYTES = 1 << 16
 # numpy's open decompresses by these suffixes; such names are streamed
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -565,27 +561,17 @@ def _is_header(line: str) -> bool:
         return True
 
 
-def _first_data_line(fh):
-    """``(lines before it, line)`` for the first data line of ``fh``, None if there is none.
+def _data_lines(fh):
+    """``(line number, line)`` for each data line of ``fh``.
 
     Blank and whitespace-only lines are skipped, and the first other line is
     a header when its first field is not a number.
     """
-    after_header = False
-    for before, line in enumerate(fh):
-        if line.isspace():
-            continue
-        if after_header or not _is_header(line):
-            return before, line
-        after_header = True
-    return None
-
-
-def _numbered_data_lines(path) -> list:
-    """``(line number, line)`` of every data line; read only to report an error."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [(no, line) for no, line in enumerate(fh, start=1) if not line.isspace()]
-    return lines[1:] if lines and _is_header(lines[0][1]) else lines
+    lines = ((no, line) for no, line in enumerate(fh, start=1) if not line.isspace())
+    first = next(lines, None)
+    if first is not None and not _is_header(first[1]):
+        yield first
+    yield from lines
 
 
 def _parse(lines) -> np.ndarray:
@@ -594,7 +580,8 @@ def _parse(lines) -> np.ndarray:
 
 
 def _reject_row(path, row: int, message: str):
-    line_no, line = _numbered_data_lines(path)[row]
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        line_no, line = next(itertools.islice(_data_lines(fh), row, None))
     raise InputFormatError(path, line_no, f"{message}: {line.strip()!r}")
 
 
@@ -606,28 +593,39 @@ def _reject_rows(path, bad: np.ndarray, message: str):
 def _read_table(path) -> np.ndarray:
     """The data rows of ``path`` as a (rows, width) float array, (0, 0) when there are none."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        found = _first_data_line(fh)
-        if found is None:
+        lines = _data_lines(fh)
+        first = next(lines, None)
+        if first is None:
             return np.empty((0, 0))  # np.loadtxt warns on empty input
-        before, first = found
         name = os.fsdecode(path)
-        if os.fstat(fh.fileno()).st_size >= _WHOLE_FILE_BYTES and not name.endswith(_COMPRESSED):
+        if not name.endswith(_COMPRESSED):
             try:  # an absolute name: numpy's open fetches a name that reads as a URL
                 return np.loadtxt(os.path.abspath(name), dtype=np.float64, delimiter=",",
-                                  comments=None, ndmin=2, encoding="utf-8-sig", skiprows=before)
+                                  comments=None, ndmin=2, encoding="utf-8-sig",
+                                  skiprows=first[0] - 1)
             except ValueError:
                 pass  # numpy reads its own handle: fh still stands after the first data line
         try:
-            return _parse(itertools.chain([first], (line for line in fh if not line.isspace())))
+            return _parse(itertools.chain([first[1]], (line for _, line in lines)))
         except ValueError:
             pass
-    # locate the failure: the first line that does not parse next to the first one
-    lines = [line for _, line in _numbered_data_lines(path)]
-    for row, line in enumerate(lines):
+    # locate the failure, the first row that does not parse next to the first one:
+    # rows parse behind the first row only when each of them does, so halve the
+    # rows not yet cleared, then confirm the one left
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [line for _, line in _data_lines(fh)]
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            _parse([lines[0], line])
+            _parse([lines[0], *lines[lo:mid]])
+            lo = mid
         except ValueError:
-            _reject_row(path, row, "expected a row of numbers as wide as the first")
+            hi = mid
+    try:
+        _parse([lines[0], lines[lo]])
+    except ValueError:
+        _reject_row(path, lo, "expected a row of numbers as wide as the first")
     raise InputFormatError(path, 0, "file does not parse")
 
 

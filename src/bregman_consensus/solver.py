@@ -107,6 +107,10 @@ class SolverConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("alpha", "lam", "epsilon"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ArgumentError(f"{name} must be a real number, got {value!r}")
         for name in ("alpha", "lam"):
             value = getattr(self, name)
             if not 0 <= value < np.inf:
@@ -118,7 +122,8 @@ class SolverConfig:
             raise ArgumentError(f"epsilon must be finite and positive, got {self.epsilon}")
         for name in ("max_iters", "threads"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):  # range() would reject it mid-solve
+            # range() would reject a non-integer mid-solve; True would read as 1
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ArgumentError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ArgumentError(f"{name} must be positive, got {value}")

@@ -573,13 +573,19 @@ def streamed_read_table(path):
     The direct form ``ensemble_inputs._read_table`` must reproduce bit for
     bit, rejections included: the lines go to the parser one Python string
     at a time after the optional header, and a failure is located by
-    parsing each data line next to the first.
+    parsing each data line next to the first.  The line numbering and the
+    rejection are written out here, so this form does not move with the
+    code it checks.
     """
     import itertools
 
-    from bregman_consensus.ensemble_inputs import (_is_header, _numbered_data_lines, _parse,
-                                                   _reject_row)
+    from bregman_consensus.ensemble_inputs import _is_header, _parse
     from bregman_consensus.exceptions import InputFormatError
+
+    def numbered_data_lines():
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = [(no, line) for no, line in enumerate(fh, start=1) if not line.isspace()]
+        return lines[1:] if lines and _is_header(lines[0][1]) else lines
 
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = (line for line in fh if not line.isspace())
@@ -592,12 +598,13 @@ def streamed_read_table(path):
             return _parse(itertools.chain([first], lines))
         except ValueError:
             pass
-    lines = [line for _, line in _numbered_data_lines(path)]
-    for row, line in enumerate(lines):
+    numbered = numbered_data_lines()
+    for line_no, line in numbered:
         try:
-            _parse([lines[0], line])
+            _parse([numbered[0][1], line])
         except ValueError:
-            _reject_row(path, row, "expected a row of numbers as wide as the first")
+            raise InputFormatError(path, line_no, "expected a row of numbers as wide as the "
+                                   f"first: {line.strip()!r}")
     raise InputFormatError(path, 0, "file does not parse")
 
 

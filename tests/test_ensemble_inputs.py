@@ -1,5 +1,6 @@
 """Averaging, co-association, sparsification, and file round-trips."""
 
+import math
 import os
 import re
 import tempfile
@@ -760,7 +761,7 @@ def _outcome(loader, path):
 @settings(max_examples=400, deadline=None)
 @given(data=data_files())
 def test_every_loader_reads_as_the_streamed_oracle(data):
-    # the gate at 0 sends every file with a data line to the path parse
+    # every file with a data line goes to the path parse first
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "data.csv")
         with open(path, "wb") as fh:
@@ -768,8 +769,6 @@ def test_every_loader_reads_as_the_streamed_oracle(data):
         for loader in LOADERS:
             with mock.patch.object(ensemble_inputs, "_read_table", streamed_read_table):
                 want = _outcome(loader, path)
-            with mock.patch.object(ensemble_inputs, "_WHOLE_FILE_BYTES", 0):
-                assert _outcome(loader, path) == want, loader.__name__
             assert _outcome(loader, path) == want, loader.__name__
 
 
@@ -777,7 +776,7 @@ class TestPathParse:
     LEAD = "\r\n \t\r\np1,p2\r\n\r\n"  # blank lines and a header
 
     @staticmethod
-    def _big_file(tmp_path, rows, inside="", lead=LEAD):
+    def _crlf_file(tmp_path, rows, inside="", lead=LEAD):
         """``rows`` under a byte-order mark and ``lead``, with CRLF endings."""
         lines = [f"{a!r},{b!r}" for a, b in rows.tolist()]
         if inside:
@@ -785,7 +784,6 @@ class TestPathParse:
         text = lead + "\r\n".join(lines) + "\r\n"
         path = tmp_path / "big.csv"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        assert path.stat().st_size >= ensemble_inputs._WHOLE_FILE_BYTES
         return path
 
     @staticmethod
@@ -803,16 +801,36 @@ class TestPathParse:
                              ids=["blank-lines-and-header", "mark-on-the-first-row"])
     def test_a_large_file_is_parsed_by_path(self, tmp_path, monkeypatch, lead):
         rows = np.random.default_rng(18).uniform(size=(2000, 2))
-        path = self._big_file(tmp_path, rows, lead=lead)
+        path = self._crlf_file(tmp_path, rows, lead=lead)
         calls = self._spy(monkeypatch)
         assert _same_bits(load_prob_csv(path), rows)
         assert len(calls) == 1
         assert isinstance(calls[0], str) and os.path.samefile(calls[0], path)
 
+    def test_a_small_file_is_parsed_by_path(self, tmp_path, monkeypatch):
+        rows = np.random.default_rng(18).uniform(size=(48, 2))
+        path = self._crlf_file(tmp_path, rows)
+        calls = self._spy(monkeypatch)
+        assert _same_bits(load_prob_csv(path), rows)
+        assert len(calls) == 1
+        assert isinstance(calls[0], str) and os.path.samefile(calls[0], path)
+
+    def test_a_bad_last_row_is_found_in_few_parses(self, tmp_path, monkeypatch):
+        rows = 20_000
+        path = tmp_path / "sim.csv"
+        path.write_text("i,j,s\n" + "".join(f"{r},{r + 1},0.5\n" for r in range(rows - 1))
+                        + "7,8\n")
+        spy = mock.Mock(side_effect=ensemble_inputs._parse)
+        monkeypatch.setattr(ensemble_inputs, "_parse", spy)
+        with pytest.raises(InputFormatError, match="as wide as the first: '7,8'") as err:
+            load_similarity_triplets(path)
+        assert err.value.line_no == rows + 1  # after the header
+        assert spy.call_count <= 2 * math.ceil(math.log2(rows)) + 4
+
     def test_a_whitespace_only_line_inside_falls_back_to_the_stream(self, tmp_path,
                                                                     monkeypatch):
         rows = np.random.default_rng(18).uniform(size=(2000, 2))
-        path = self._big_file(tmp_path, rows, inside=" \t ")
+        path = self._crlf_file(tmp_path, rows, inside=" \t ")
         calls = self._spy(monkeypatch)
         assert _same_bits(load_prob_csv(path), rows)
         assert isinstance(calls[0], str) and not isinstance(calls[1], str)
@@ -820,7 +838,7 @@ class TestPathParse:
     def test_a_compressed_suffix_keeps_the_stream(self, tmp_path, monkeypatch):
         # numpy's open would read "big.csv.gz" as gzip data
         rows = np.random.default_rng(18).uniform(size=(2000, 2))
-        path = self._big_file(tmp_path, rows).rename(tmp_path / "big.csv.gz")
+        path = self._crlf_file(tmp_path, rows).rename(tmp_path / "big.csv.gz")
         calls = self._spy(monkeypatch)
         assert _same_bits(load_prob_csv(path), rows)
         assert not any(isinstance(fname, str) for fname in calls)

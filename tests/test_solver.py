@@ -391,11 +391,26 @@ class TestRun:
             with pytest.raises(ArgumentError, match=f"{name} must be an integer, got "
                                                     + re.escape(repr(value))):
                 SolverConfig(divergence=spec, **{name: value})
+        # a bool passed as an integer read as 1 or 0
+        for name in ("max_iters", "threads"):
+            with pytest.raises(ArgumentError, match=f"{name} must be an integer, got True"):
+                SolverConfig(divergence=spec, **{name: True})
+        # comparing these with numbers raised a bare TypeError; a bool read as 1 or 0
+        for name, value in [("alpha", "0.5"), ("lam", None), ("epsilon", 1j), ("alpha", True),
+                            ("lam", np.bool_(False))]:
+            with pytest.raises(ArgumentError, match=f"{name} must be a real number, got "
+                                                    + re.escape(repr(value))):
+                SolverConfig(divergence=spec, **{name: value})
         from bregman_consensus import BregmanConsensus
 
         with pytest.raises(ArgumentError, match="max_iters must be an integer, got 2.5"):
             BregmanConsensus(max_iter=2.5).fit([[1.0, 0.0], [0.5, 0.5]],
                                                np.array([[0.0, 0.5], [0.5, 0.0]]))
+        with pytest.raises(ArgumentError, match="alpha must be a real number, got '0.5'"):
+            BregmanConsensus(alpha="0.5").fit([[1.0, 0.0], [0.5, 0.5]],
+                                              np.array([[0.0, 0.5], [0.5, 0.0]]))
+        SolverConfig(divergence=spec, alpha=np.float32(0.5), lam=np.int64(1),
+                     epsilon=np.float64(1e-9))
         cfg = SolverConfig(divergence=spec, max_iters=np.int32(3), threads=np.int64(2))
         labeling, _ = run(np.array([[0.6, 0.4], [0.3, 0.7]]), SimilarityMatrix.empty(2), cfg)
         assert labeling.iterations_used <= 3
