@@ -32,6 +32,7 @@ from .datasets import synthetic_problem
 from .divergences import DivergenceKind, divergence_spec
 from .ensemble_inputs import (
     SimilarityMatrix,
+    array_rows,
     coassociation_similarity,
     load_labels,
     load_partitions_csv,
@@ -124,7 +125,7 @@ def _load_problem(args):
 def _write_labels(path, labeling):
     header = "index,label," + ",".join(f"p{i + 1}" for i in range(labeling.probabilities.shape[1]))
     rows = ([i, label, *p] for i, (label, p) in enumerate(
-        zip(labeling.labels.tolist(), labeling.probabilities.tolist())))
+        array_rows(labeling.labels, labeling.probabilities)))
     save_matrix_csv(path, rows, header=header)
 
 

@@ -9,10 +9,10 @@ with an absent (zero) diagonal and is read by the solver only through its
 
 * stored pairs: the upper triangle (i < j) with strictly positive weight,
   from triplet files, ``from_pairs``/``from_dense`` and ``sparsify``.  The
-  operator is :class:`SimilarityOperator`: both orientations grouped by row
-  degree, placed by one counting pass and a transpose per slab, O(nnz k)
-  work per product in about one numpy call per distinct degree plus a few
-  per 16k entries, in a summation order fixed by the layout;
+  operator is :class:`SimilarityOperator`: both orientations as one
+  ``scipy.sparse`` CSR matrix, placed by one counting pass, O(nnz k) work
+  per product in scipy's compiled loop, each row adding its entries in
+  ascending column order.  scipy is imported by the first such build;
 * partitions: ``coassociation_similarity`` keeps the n-by-r2 cluster ids,
   since the co-association is the ensemble's membership hypergraph
   S = (1/r2) sum_c B_c B_c^T - I (Strehl & Ghosh, "Cluster Ensembles", JMLR
@@ -31,7 +31,8 @@ and each pair once; labels one integer per row.  A file is parsed by
 ``np.loadtxt`` from its path, which reads it in large chunks; a compressed
 name, or a file that parse rejects, has its data lines streamed to the same
 parser, with the same result.  Every rejection is an
-:class:`InputFormatError` naming the file and line.
+:class:`InputFormatError` naming the file and line.  The writers convert
+arrays to Python numbers a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ from .exceptions import (
     RangeError,
     ShapeError,
 )
-
-# Entries per chunk of a stored-pair product: a chunk's indices, weights and
-# four gathered columns take 768 KB, within a 2 MB per-core L2 cache.
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,17 +171,13 @@ class SimilarityMatrix:
 
         Row sums of this structure are the per-instance weights
         ``sum_j s_ij``.  The arrays are read-only and built anew by each
-        call, by the placement every :attr:`operator` build runs, with each
-        row at its CSR start; no solve reads them.
+        call, by the placement every :attr:`operator` build runs; no solve
+        reads them.
         """
-        below = np.bincount(self.cols, minlength=self.n)
-        above = np.bincount(self.rows, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(below + above, out=indptr[1:])
-        indices, data = _symmetrized(self, indptr[:-1], below, above)
-        for arr in (indptr, indices, data):
+        arrays = _symmetrized(self)
+        for arr in arrays:
             arr.setflags(write=False)
-        return indptr, indices, data
+        return arrays
 
 
 class PartitionSimilarity(SimilarityMatrix):
@@ -227,104 +220,38 @@ class PartitionSimilarity(SimilarityMatrix):
 
 
 class SimilarityOperator:
-    """Stored pairs, both orientations, grouped by row degree.
+    """Stored pairs, both orientations, as one ``scipy.sparse`` CSR matrix.
 
     ``row_sum[i]`` is ``sum_j s_ij``; :meth:`matvec` gives the product
     ``S @ Y`` the solver, the objective and the diagnostics share.
 
-    The c rows of one degree d form a block (sliced ELLPACK with one slice
-    per degree; Monakov, Lokhmotov & Avetisyan, HiPEAC 2010), and each row
-    keeps its entries in ascending column order.  A block with at least as
-    many rows as entries per row is cut into slabs of at most
-    ``max(1, _CHUNK // d)`` rows, each kept position-major: a (d, c') array
-    whose column r holds row r's entries, which reduces as one dense sum
-    down axis 0.  The other blocks, whose rows are longer than the block is
-    tall, are kept row after row and reduce by ``np.add.reduceat``.  Rows
-    are laid out in that order: the slabbed blocks, then the row-wise ones,
-    each by degree and within a degree by node.  ``_cols`` and ``_vals``
-    hold the 2 nnz entries in this layout; there is no other copy.
-
-    The build places each row at its layout start, by the counting
-    placement of ``symmetrized_csr``, then walks the blocks once: it
-    transposes each slab in place and packs consecutive slabs, or
-    consecutive row-wise runs, into chunks of at most ``_CHUNK`` entries; a
-    longer row is a chunk of its own.  A product gathers and scales one
-    chunk for all m columns at once and reduces it with one call per slab,
-    or one ``reduceat``.  Whatever m, a product makes about one reduction
-    per distinct nonzero degree (at most sqrt(4 nnz) of them) and three
-    calls per ``_CHUNK`` entries; a star makes two chunks and two reductions.
+    The matrix is built from the arrays :meth:`SimilarityMatrix.symmetrized_csr`
+    places, each row's entries in ascending column order, with indices kept
+    as int32 wherever n allows, so it holds about as many bytes as the stored
+    pairs.  scipy's compiled product adds each row's entries in that order,
+    left to right, for any operand width, so a product repeats bit for bit
+    and a row with no entries is 0.0.  ``scipy.sparse`` is imported by the
+    first build, not with the package: that first import takes about 0.2 s
+    and 20 MB, which a partition ensemble never pays.
     """
 
     def __init__(self, similarity: SimilarityMatrix):
+        from scipy import sparse
+
         n = self.n = similarity.n
-        below = np.bincount(similarity.cols, minlength=n)  # mirrored entries per row
-        above = np.bincount(similarity.rows, minlength=n)  # stored entries per row
-        degree = below + above
-        count = np.bincount(degree)
-        row_wise = count < np.arange(count.size)  # per degree
-        key = degree + count.size * row_wise[degree]
-        by_key = np.argsort(key, kind="stable")
-        self._rank = np.empty(n, dtype=np.int64)  # each node's place in the layout
-        self._rank[by_key] = np.arange(n)
-        start = np.concatenate(([0], np.cumsum(degree[by_key])))  # row starts, by layout
-        self._cols, self._vals = _symmetrized(similarity, start[self._rank], below, above)
-        first = np.flatnonzero(np.diff(key[by_key], prepend=-1))  # each block's first row
-        size = np.diff(first, append=n)
-        block_degree = degree[by_key[first]]
-        chunks = []  # [e0, e1, row_wise, plan]; a slab plans as (r0, r1, b0 in chunk, d)
-        for r0, c, d, wise in zip(first.tolist(), size.tolist(), block_degree.tolist(),
-                                  row_wise[block_degree].tolist()):
-            run = max(_CHUNK // max(d, 1), 1)
-            for q0 in range(r0, r0 + c, run) if d else ():
-                q1 = min(q0 + run, r0 + c)
-                e0, e1 = int(start[q0]), int(start[q1])
-                if not wise:  # position-major: column r holds the slab's row r
-                    for arr in (self._cols, self._vals):
-                        arr[e0:e1] = arr[e0:e1].reshape(q1 - q0, d).T.ravel()
-                if not chunks or chunks[-1][2] != wise or e1 - chunks[-1][0] > _CHUNK:
-                    chunks.append([e0, e1, wise, []])
-                chunks[-1][1] = e1
-                chunks[-1][3].append((q0, q1, e0 - chunks[-1][0], d))
-        for chunk in chunks:
-            if chunk[2]:  # one reduceat over the chunk's rows, each from its first entry
-                rows = slice(chunk[3][0][0], chunk[3][-1][1])
-                chunk[3] = (rows, start[rows] - chunk[0])
-        self._chunks = [tuple(chunk) for chunk in chunks]
-        self._width = max((e1 - e0 for e0, e1, _, _ in self._chunks), default=0)
+        indptr, indices, data = _symmetrized(similarity)
+        self._matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         self.row_sum = self.matvec(np.ones((n, 1)))[:, 0]
-        for arr in (self._rank, self._cols, self._vals, self.row_sum):
+        for arr in (self._matrix.indptr, self._matrix.indices, self._matrix.data,
+                    self.row_sum):
             arr.setflags(write=False)
 
     def matvec(self, Y: np.ndarray) -> np.ndarray:
-        """``S @ Y`` for an (n, m) array, a chunk of entries at a time.
-
-        Each chunk gathers the rows of ``Y`` its ``_cols`` name into one
-        buffer of at most max(``_CHUNK``, largest degree) by m floats, which
-        serves every chunk, scales them by its ``_vals`` and reduces them
-        into an (n, m) array in layout order; one gather returns the rows to
-        node order.  The summation order depends only on the layout and m (a
-        reduction need not add left to right), so a product repeats bit for
-        bit; a row of degree 0 is 0.0.
-        """
-        Y = np.ascontiguousarray(Y, dtype=np.float64)
-        if Y.ndim != 2 or Y.shape[0] != self.n:  # the clipped gathers would not notice
+        """``S @ Y`` for an (n, m) array, as an (n, m) float64 array."""
+        Y = np.asarray(Y, dtype=np.float64)
+        if Y.ndim != 2 or Y.shape[0] != self.n:
             raise ShapeError(f"expected an ({self.n}, m) array, got shape {Y.shape}")
-        m = Y.shape[1]
-        sums = np.zeros((self.n, m))  # layout order; the rows of degree 0 stay 0.0
-        buffer = np.empty(self._width * m)
-        for e0, e1, row_wise, plan in self._chunks:
-            terms = buffer[:(e1 - e0) * m].reshape(e1 - e0, m)
-            np.take(Y, self._cols[e0:e1], axis=0, out=terms, mode="clip")  # "raise" copies
-            # C order over the transposed view: one pass per column, not per entry
-            np.multiply(terms.T, self._vals[e0:e1], out=terms.T, order="C")
-            if row_wise:
-                rows, starts = plan
-                np.add.reduceat(terms, starts, axis=0, out=sums[rows])
-            else:
-                for r0, r1, b0, d in plan:
-                    slab = terms[b0:b0 + d * (r1 - r0)].reshape(d, r1 - r0, m)
-                    np.add.reduce(slab, 0, None, sums[r0:r1])
-        return np.take(sums, self._rank, axis=0, mode="clip")
+        return self._matrix @ Y
 
 
 class PartitionOperator:
@@ -379,21 +306,26 @@ class PartitionOperator:
         return out.reshape(self.n, m)
 
 
-def _symmetrized(similarity: SimilarityMatrix, row_start, below, above):
-    """Both halves of the stored pairs as ``(indices, data)``, placed by counting.
+def _symmetrized(similarity: SimilarityMatrix):
+    """Both halves of the stored pairs as CSR ``(indptr, indices, data)``, placed by counting.
 
-    Row t holds its ``below[t]`` mirrored entries (columns below t), then
-    its ``above[t]`` stored ones, from ``row_start[t]`` in ascending column
-    order.  The stored half (i < j) arrives sorted row-major, so a stable
-    sort of the mirrored half by row keeps each row ascending; it sorts the
-    unique keys ``row * m + position``, faster than a stable argsort of rows.
+    Row t holds its mirrored entries (columns below t), then its stored ones,
+    in ascending column order.  The stored half (i < j) arrives sorted
+    row-major, so its p-th entry lands at p plus the mirrored entries of its
+    row and of every row before it.  A stable sort of the mirrored half by
+    row keeps each row ascending; it sorts the unique keys
+    ``row * m + position``, faster than a stable argsort of rows.
     """
     rows, cols, vals = similarity.rows, similarity.cols, similarity.vals
     m = rows.size
+    below = np.bincount(cols, minlength=similarity.n)  # mirrored entries per row
+    above = np.bincount(rows, minlength=similarity.n)  # stored entries per row
+    indptr = np.zeros(similarity.n + 1, dtype=np.int64)
+    np.cumsum(below + above, out=indptr[1:])
     indices = np.empty(2 * m, dtype=np.int64)
     data = np.empty(2 * m)
     first = np.arange(m)
-    at = (row_start + below - (np.cumsum(above) - above))[rows]
+    at = np.cumsum(below)[rows]
     at += first
     indices[at] = cols
     data[at] = vals
@@ -402,12 +334,12 @@ def _symmetrized(similarity: SimilarityMatrix, row_start, below, above):
     key.sort()
     mirrored_row, order = np.divmod(key, max(m, 1))
     del key
-    at = (row_start - (np.cumsum(below) - below))[mirrored_row]
+    at = (np.cumsum(above) - above)[mirrored_row]
     del mirrored_row
     at += first
     indices[at] = rows[order]
     data[at] = vals[order]
-    return indices, data
+    return indptr, indices, data
 
 
 def _coassociation_pairs(clusters: np.ndarray):
@@ -689,10 +621,25 @@ def load_labels(path) -> np.ndarray:
     return _integers(path, table, "labels")[:, 0]
 
 
+# Rows turned into Python numbers at a time by the writers: each value's repr
+# costs more than its conversion, so a block keeps memory flat at no cost in time.
+_WRITE_ROWS = 1024
+
+
+def array_rows(*columns):
+    """``zip`` of the columns' ``tolist()``, converted ``_WRITE_ROWS`` rows at a time.
+
+    Each row is a tuple with one item per column: a Python number from an
+    (n,) column, a list of them from an (n, w) one.
+    """
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        yield from zip(*(c[start:start + _WRITE_ROWS].tolist() for c in columns))
+
+
 def save_matrix_csv(path, rows, header: str | None = None):
     """Write a 2-D array, or rows of Python numbers, as CSV of their ``repr``s."""
     if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
+        rows = (row for row, in array_rows(rows))
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
@@ -704,5 +651,4 @@ def save_labels_txt(path, labels):
 
 
 def save_similarity_triplets(path, similarity: SimilarityMatrix):
-    save_matrix_csv(path, zip(similarity.rows.tolist(), similarity.cols.tolist(),
-                              similarity.vals.tolist()))
+    save_matrix_csv(path, array_rows(similarity.rows, similarity.cols, similarity.vals))

@@ -47,19 +47,20 @@ iteration makes a fixed, small number of O(n k) elementwise passes.  The
 solver and the diagnostics read the similarity only through its operator
 (``n``, ``row_sum``, ``matvec``), built once per
 :class:`~bregman_consensus.ensemble_inputs.SimilarityMatrix`: for stored
-pairs both orientations grouped by row degree, O(nnz k) per product in about
-one grouped reduction per distinct degree, or the partition-factored
-co-association, O(n k r2) per product.
+pairs both orientations as one ``scipy.sparse`` CSR matrix, O(nnz k) per
+product in scipy's compiled loop, or the partition-factored co-association,
+O(n k r2) per product.
 
 Within a half-step the per-instance updates are mutually independent (right
 updates read only left copies and ``pi``; left updates read only right
 copies), so each sweep is one vectorised pass over all instances built on a
 single product with the similarity.  Every inner summation runs in an
 order fixed for a given operator, so a run repeats bit for bit: the
-partition product's grouped sums add sequentially in ascending node order;
-the stored-pair product's order is fixed by its degree layout and the
-operand's width, and need not add left to right.  The solve runs in one
-thread; ``SolverConfig.threads`` is accepted for compatibility and ignored.
+partition product's grouped sums add sequentially in ascending node order,
+and each row of the stored-pair product adds its entries in ascending
+column order, left to right, whatever the operand's width.  The solve runs
+in one thread; ``SolverConfig.threads`` is accepted for compatibility and
+ignored.
 
 :func:`run` is the loop's only entry, always from the uniform start.  Only
 its stopping test reads ``epsilon``, so a run at a looser tolerance is a

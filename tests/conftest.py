@@ -128,9 +128,10 @@ def column_loop_matvec(clusters, Y):
 def argsort_csr(similarity):
     """The symmetrized CSR (indptr, indices, data) by one stable argsort of all keys.
 
-    The direct form ``SimilarityOperator`` must reproduce byte for byte:
-    both orientations of every stored pair, keyed row-major and sorted
-    together, with ``indptr`` counted by ``np.add.at``.
+    The direct form ``symmetrized_csr``, which every stored-pair operator
+    build runs, must reproduce byte for byte: both orientations of every
+    stored pair, keyed row-major and sorted together, with ``indptr``
+    counted by ``np.add.at``.
     """
     n = similarity.n
     i2 = np.concatenate([similarity.rows, similarity.cols])
@@ -145,9 +146,9 @@ def argsort_csr(similarity):
 def reduceat_matvec(indptr, indices, data, Y):
     """``S @ Y`` from a symmetrized CSR, one ``np.add.reduceat`` per column.
 
-    The form ``SimilarityOperator.matvec`` had before its degree blocks:
-    each column is gathered over ``indices`` and scaled by ``data``, and
-    every nonempty row reduces its own contiguous slice; empty rows are 0.0.
+    A numpy form apart from the operator's scipy product: each column is
+    gathered over ``indices`` and scaled by ``data``, and every nonempty row
+    reduces its own contiguous slice; empty rows are 0.0.
     """
     n = indptr.size - 1
     nonempty = np.flatnonzero(np.diff(indptr))

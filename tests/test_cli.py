@@ -1,13 +1,17 @@
 """Command-line behaviour: exit codes, file outputs, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bregman_consensus import ensemble_inputs
 from bregman_consensus.cli import main
-from bregman_consensus.ensemble_inputs import load_prob_csv, save_matrix_csv
+from bregman_consensus.ensemble_inputs import (SimilarityMatrix, load_prob_csv, save_labels_txt,
+                                               save_matrix_csv, save_similarity_triplets)
+from bregman_consensus.solver import Labeling
 
 from conftest import random_pi, random_similarity
-from bregman_consensus.ensemble_inputs import save_similarity_triplets
 
 
 @pytest.fixture
@@ -414,3 +418,54 @@ def test_sparsify_outside_the_unit_interval_exits_2(tmp_path, capsys, threshold)
                  "--labels-out", str(tmp_path / "labels.csv")])
     assert code == 2
     assert "sparsify threshold" in capsys.readouterr().err
+
+
+class TestBlockedWriters:
+    def test_labels_writer_peak_stays_flat(self, tmp_path):
+        # one tolist() of the whole labeling made n (k + 2) Python objects: 19 MB here
+        from bregman_consensus.cli import _write_labels
+
+        rng = np.random.default_rng(5)
+        p = rng.dirichlet(np.ones(4), 100_000)
+        labeling = Labeling(probabilities=p, labels=np.argmax(p, axis=1), iterations_used=1,
+                            converged=True)
+        tracemalloc.start()
+        try:
+            _write_labels(tmp_path / "labels.csv", labeling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+
+    @pytest.mark.parametrize("blocks", [0, 1 / 1024, 1, 2.5],
+                             ids=["empty", "one-row", "one-block", "blocks"])
+    def test_writers_match_a_whole_list_oracle(self, tmp_path, blocks):
+        from bregman_consensus.cli import _write_labels
+
+        rng = np.random.default_rng(6)
+        n = int(blocks * ensemble_inputs._WRITE_ROWS)
+        p = rng.uniform(size=(n, 3))
+        p[::5, 0] = -0.0
+        p[1::7, 1] = 1e-300
+        labels = rng.integers(-3, 1 << 40, n)
+        ints = rng.integers(-(1 << 60), 1 << 60, (n, 2))
+
+        def oracle(rows, header=""):
+            return header + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+        _write_labels(tmp_path / "labels.csv", Labeling(probabilities=p, labels=labels,
+                                                        iterations_used=1, converged=True))
+        want = oracle(([i, label, *q] for i, (label, q) in
+                       enumerate(zip(labels.tolist(), p.tolist()))), "index,label,p1,p2,p3\n")
+        assert (tmp_path / "labels.csv").read_text() == want
+        for name, array in (("floats", p), ("ints", ints)):
+            save_matrix_csv(tmp_path / name, array)
+            assert (tmp_path / name).read_text() == oracle(array.tolist())
+        save_labels_txt(tmp_path / "truth", labels)
+        assert (tmp_path / "truth").read_text() == oracle([x] for x in labels.tolist())
+        if n >= 2:
+            pairs = SimilarityMatrix.from_pairs(n, np.arange(n - 1), np.arange(1, n),
+                                                np.maximum(p[1:, 1], 1e-300))
+            save_similarity_triplets(tmp_path / "pairs", pairs)
+            assert (tmp_path / "pairs").read_text() == oracle(
+                zip(pairs.rows.tolist(), pairs.cols.tolist(), pairs.vals.tolist()))

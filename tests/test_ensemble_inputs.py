@@ -207,31 +207,6 @@ class TestOperatorBuild:
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
 
-    @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 30),
-           layout=st.sampled_from(["random", "empty", "gaps", "star", "partitions"]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_placement_puts_each_row_ascending_at_any_row_start(self, n, layout, seed):
-        # the operator places rows at their layout starts, not at the CSR's
-        rng = np.random.default_rng(seed)
-        similarity = _stored_pairs(layout, rng, n)
-        indptr, indices, data = argsort_csr(similarity)
-        degree = np.diff(indptr)
-        order = rng.permutation(n)  # the rows' order in the placement
-        row_start = np.empty(n, dtype=np.int64)
-        row_start[order] = np.cumsum(degree[order]) - degree[order]
-        below = np.bincount(similarity.cols, minlength=n)
-        above = np.bincount(similarity.rows, minlength=n)
-        got_indices, got_data = ensemble_inputs._symmetrized(similarity, row_start, below,
-                                                             above)
-        assert got_indices.dtype == indices.dtype and got_data.dtype == data.dtype
-        assert got_indices.size == got_data.size == indices.size
-        for t in range(n):
-            got = slice(row_start[t], row_start[t] + degree[t])
-            want = slice(indptr[t], indptr[t + 1])
-            assert got_indices[got].tobytes() == indices[want].tobytes()
-            assert got_data[got].tobytes() == data[want].tobytes()
-
     def test_build_peak_stays_below_3_75_times_the_stored_arrays(self):
         rng = np.random.default_rng(16)
         n, m = 16_000, 128_000
@@ -241,6 +216,7 @@ class TestOperatorBuild:
         similarity = SimilarityMatrix.from_pairs(n, key // n, key % n,
                                                  rng.uniform(0.05, 1.0, m))
         assert similarity.nnz == m
+        import scipy.sparse  # noqa: F401  a first import inside the window would count the module
         tracemalloc.start()
         try:
             op = SimilarityOperator(similarity)
@@ -248,8 +224,10 @@ class TestOperatorBuild:
         finally:
             tracemalloc.stop()
         stored = similarity.rows.nbytes + similarity.cols.nbytes + similarity.vals.nbytes
-        assert peak < 3.75 * stored, peak / stored  # the operator keeps 4/3 of it
-        assert op._cols.size == 2 * m
+        assert peak < 3.75 * stored, peak / stored
+        # int32 indices: both orientations take about the stored arrays' bytes
+        held = sum(a.nbytes for a in (op._matrix.indptr, op._matrix.indices, op._matrix.data))
+        assert held < 1.05 * stored, held / stored
 
 
 def _star(rng, n):
@@ -268,37 +246,15 @@ def _stored_pairs(layout, rng, n):
     return layout_similarity(layout if layout in ("empty", "gaps") else "random", rng, n)
 
 
-class _Counting:
-    """Stands in for ``np.add``: counts its ``reduce`` and ``reduceat`` calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def reduce(self, *args, **kwargs):
-        self.calls += 1
-        return _ADD.reduce(*args, **kwargs)
-
-    def reduceat(self, *args, **kwargs):
-        self.calls += 1
-        return _ADD.reduceat(*args, **kwargs)
-
-
-_ADD = np.add
-
-
 class TestStoredPairProduct:
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 60), m=st.integers(1, 5),
            layout=st.sampled_from(["random", "empty", "gaps", "star", "partitions"]),
-           order=st.sampled_from(["C", "F", "sliced"]),
-           chunk=st.sampled_from([None, 1, 2, 3, 7, 64]), seed=st.integers(0, 2**32 - 1))
-    def test_product_matches_reduceat_and_dense_oracles(self, n, m, layout, order, chunk,
-                                                        seed):
+           order=st.sampled_from(["C", "F", "sliced"]), seed=st.integers(0, 2**32 - 1))
+    def test_product_matches_reduceat_and_dense_oracles(self, n, m, layout, order, seed):
         rng = np.random.default_rng(seed)
         similarity = _stored_pairs(layout, rng, n)
-        # small chunks cut blocks into several slabs and long rows into their own chunks
-        with mock.patch.object(ensemble_inputs, "_CHUNK", chunk or ensemble_inputs._CHUNK):
-            op = SimilarityOperator(similarity)
+        op = SimilarityOperator(similarity)
         Y = rng.normal(size=(n, 2 * m))
         Y[rng.uniform(size=Y.shape) < 0.3] = -0.0
         Y = {"C": Y[:, :m].copy(), "F": np.asfortranarray(Y[:, :m]), "sliced": Y[::-1, ::2]}[order]
@@ -318,9 +274,8 @@ class TestStoredPairProduct:
         assert got[empty].tobytes() == np.zeros((int(empty.sum()), m)).tobytes()
         assert op.row_sum[empty].tobytes() == np.zeros(int(empty.sum())).tobytes()
         # a fixed summation order: perfbench's round-drift check compares fresh builds
-        with mock.patch.object(ensemble_inputs, "_CHUNK", chunk or ensemble_inputs._CHUNK):
-            again = SimilarityOperator(SimilarityMatrix(n, similarity.rows, similarity.cols,
-                                                        similarity.vals))
+        again = SimilarityOperator(SimilarityMatrix(n, similarity.rows, similarity.cols,
+                                                    similarity.vals))
         assert again.matvec(Y).tobytes() == got.tobytes() == op.matvec(Y).tobytes()
         assert again.row_sum.tobytes() == op.row_sum.tobytes()
 
@@ -338,36 +293,6 @@ class TestStoredPairProduct:
         with pytest.raises(ShapeError, match=r"expected an \(5, m\) array, got shape "
                                              + re.escape(str(shape))):
             op.matvec(np.ones(shape))
-
-    @pytest.mark.parametrize("chunk", [None, 64])
-    @pytest.mark.parametrize("layout", ["star", "random"])
-    def test_reductions_track_distinct_degrees_not_the_largest(self, layout, chunk,
-                                                               monkeypatch):
-        # a jagged-diagonal layout would make one call per position up to the hub's degree
-        rng = np.random.default_rng(15)
-        n = 3000 if layout == "star" else 200
-        similarity = _star(rng, n) if layout == "star" else random_similarity(rng, n)
-        if chunk:
-            monkeypatch.setattr(ensemble_inputs, "_CHUNK", chunk)
-        op = SimilarityOperator(similarity)
-        degree = np.diff(similarity.symmetrized_csr()[0])
-        distinct = np.unique(degree[degree > 0]).size
-        chunks = -(-degree.sum() // ensemble_inputs._CHUNK)
-        counts = set()
-        for m in (1, 4, 7):
-            add = _Counting()
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "add", add)
-                op.matvec(rng.normal(size=(n, m)))
-            counts.add(add.calls)
-        assert len(counts) == 1  # one reduction per slab or chunk, whatever the width
-        calls = counts.pop()
-        if chunk is None:  # every block fits a chunk
-            assert calls <= distinct
-            if layout == "star":
-                assert distinct == calls == 2  # the leaves' slab and the hub's row
-        assert calls <= distinct + 2 * chunks + 1
-
 
 class TestFromPairs:
     def test_peak_stays_below_twice_the_stored_arrays(self):
