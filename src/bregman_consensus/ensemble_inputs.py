@@ -10,9 +10,10 @@ with an absent (zero) diagonal and is read by the solver only through its
 * stored pairs: the upper triangle (i < j) with strictly positive weight,
   from triplet files, ``from_pairs``/``from_dense`` and ``sparsify``.  The
   operator is :class:`SimilarityOperator`: both orientations as one
-  ``scipy.sparse`` CSR matrix, placed by one counting pass, O(nnz k) work
-  per product in scipy's compiled loop, each row adding its entries in
-  ascending column order.  scipy is imported by the first such build;
+  ``scipy.sparse`` CSR matrix, the stored upper triangle plus its
+  transpose, O(nnz k) work per product in scipy's compiled loop, each row
+  adding its entries in ascending column order.  scipy is imported by the
+  first such build;
 * partitions: ``coassociation_similarity`` keeps the n-by-r2 cluster ids,
   since the co-association is the ensemble's membership hypergraph
   S = (1/r2) sum_c B_c B_c^T - I (Strehl & Ghosh, "Cluster Ensembles", JMLR
@@ -170,11 +171,12 @@ class SimilarityMatrix:
         """Both orientations in CSR form (indptr, indices, data), ascending indices.
 
         Row sums of this structure are the per-instance weights
-        ``sum_j s_ij``.  The arrays are read-only and built anew by each
-        call, by the placement every :attr:`operator` build runs; no solve
-        reads them.
+        ``sum_j s_ij``.  The arrays are int64 ``indptr`` and ``indices``
+        and float64 ``data``, read-only and built anew by each call, by the
+        scipy build every :attr:`operator` runs; no solve reads them.
         """
-        arrays = _symmetrized(self)
+        matrix = _symmetric_csr(self)
+        arrays = (matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data)
         for arr in arrays:
             arr.setflags(write=False)
         return arrays
@@ -225,10 +227,11 @@ class SimilarityOperator:
     ``row_sum[i]`` is ``sum_j s_ij``; :meth:`matvec` gives the product
     ``S @ Y`` the solver, the objective and the diagnostics share.
 
-    The matrix is built from the arrays :meth:`SimilarityMatrix.symmetrized_csr`
-    places, each row's entries in ascending column order, with indices kept
-    as int32 wherever n allows, so it holds about as many bytes as the stored
-    pairs.  scipy's compiled product adds each row's entries in that order,
+    scipy builds the matrix from the stored upper triangle and its
+    transpose (the arrays :meth:`SimilarityMatrix.symmetrized_csr` returns),
+    each row's entries in ascending column order, with indices kept as int32
+    wherever n allows, so it holds about as many bytes as the stored pairs.
+    scipy's compiled product adds each row's entries in that order,
     left to right, for any operand width, so a product repeats bit for bit
     and a row with no entries is 0.0.  ``scipy.sparse`` is imported by the
     first build, not with the package: that first import takes about 0.2 s
@@ -236,12 +239,9 @@ class SimilarityOperator:
     """
 
     def __init__(self, similarity: SimilarityMatrix):
-        from scipy import sparse
-
-        n = self.n = similarity.n
-        indptr, indices, data = _symmetrized(similarity)
-        self._matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        self.row_sum = self.matvec(np.ones((n, 1)))[:, 0]
+        self.n = similarity.n
+        self._matrix = _symmetric_csr(similarity)
+        self.row_sum = self.matvec(np.ones((self.n, 1)))[:, 0]
         for arr in (self._matrix.indptr, self._matrix.indices, self._matrix.data,
                     self.row_sum):
             arr.setflags(write=False)
@@ -306,40 +306,22 @@ class PartitionOperator:
         return out.reshape(self.n, m)
 
 
-def _symmetrized(similarity: SimilarityMatrix):
-    """Both halves of the stored pairs as CSR ``(indptr, indices, data)``, placed by counting.
+def _symmetric_csr(similarity: SimilarityMatrix):
+    """Both orientations of the stored pairs as one canonical ``scipy.sparse`` CSR matrix.
 
-    Row t holds its mirrored entries (columns below t), then its stored ones,
-    in ascending column order.  The stored half (i < j) arrives sorted
-    row-major, so its p-th entry lands at p plus the mirrored entries of its
-    row and of every row before it.  A stable sort of the mirrored half by
-    row keeps each row ascending; it sorts the unique keys
-    ``row * m + position``, faster than a stable argsort of rows.
+    The stored pairs are the upper triangle, sorted row-major, so they are
+    already that triangle's CSR arrays once ``indptr`` is counted.  scipy
+    transposes it by a counting pass and merges the two halves, whose
+    entries never meet, into rows in ascending column order, with int32
+    indices wherever n allows.
     """
-    rows, cols, vals = similarity.rows, similarity.cols, similarity.vals
-    m = rows.size
-    below = np.bincount(cols, minlength=similarity.n)  # mirrored entries per row
-    above = np.bincount(rows, minlength=similarity.n)  # stored entries per row
-    indptr = np.zeros(similarity.n + 1, dtype=np.int64)
-    np.cumsum(below + above, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=np.int64)
-    data = np.empty(2 * m)
-    first = np.arange(m)
-    at = np.cumsum(below)[rows]
-    at += first
-    indices[at] = cols
-    data[at] = vals
-    key = cols * m
-    key += first
-    key.sort()
-    mirrored_row, order = np.divmod(key, max(m, 1))
-    del key
-    at = (np.cumsum(above) - above)[mirrored_row]
-    del mirrored_row
-    at += first
-    indices[at] = rows[order]
-    data[at] = vals[order]
-    return indptr, indices, data
+    from scipy import sparse
+
+    n = similarity.n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(similarity.rows, minlength=n), out=indptr[1:])
+    upper = sparse.csr_matrix((similarity.vals, similarity.cols, indptr), shape=(n, n))
+    return upper + upper.T
 
 
 def _coassociation_pairs(clusters: np.ndarray):
@@ -399,7 +381,7 @@ def average_class_probabilities(outputs, domain_floor: float = 1e-12) -> np.ndar
     Parameters
     ----------
     outputs : sequence of (n, k) arrays
-        One class-probability matrix per classifier.
+        One class-probability matrix per classifier, finite and nonnegative.
 
     Returns
     -------
@@ -415,6 +397,8 @@ def average_class_probabilities(outputs, domain_floor: float = 1e-12) -> np.ndar
         if m.shape != shape:
             raise ShapeError(f"mismatched ensemble shapes: {shape} vs {m.shape}")
     stack = np.stack(mats)
+    if not np.all(np.isfinite(stack)):
+        raise ShapeError("probabilities contain non-finite values")
     if np.any(stack < 0.0):
         raise DomainError("class probabilities must be nonnegative")
     mean = stack.mean(axis=0) + domain_floor
@@ -565,7 +549,9 @@ def _integers(path, table: np.ndarray, what: str) -> np.ndarray:
     """``table`` as int64, rejecting the first row that holds a non-integer value."""
     with np.errstate(invalid="ignore"):  # nan, inf and out-of-range values cast to junk
         ints = table.astype(np.int64)
-    _reject_rows(path, np.any(ints != table, axis=1), f"{what} must be integers")
+    bad = ints != table
+    if bad.any():  # reduced per row only to name the first bad one
+        _reject_rows(path, bad.any(axis=1), f"{what} must be integers")
     return ints
 
 

@@ -128,10 +128,10 @@ def column_loop_matvec(clusters, Y):
 def argsort_csr(similarity):
     """The symmetrized CSR (indptr, indices, data) by one stable argsort of all keys.
 
-    The direct form ``symmetrized_csr``, which every stored-pair operator
-    build runs, must reproduce byte for byte: both orientations of every
-    stored pair, keyed row-major and sorted together, with ``indptr``
-    counted by ``np.add.at``.
+    The direct form ``symmetrized_csr`` (the arrays of the scipy build
+    behind every stored-pair operator, as int64) must reproduce byte for
+    byte: both orientations of every stored pair, keyed row-major and sorted
+    together, with ``indptr`` counted by ``np.add.at``.
     """
     n = similarity.n
     i2 = np.concatenate([similarity.rows, similarity.cols])
