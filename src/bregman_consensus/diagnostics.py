@@ -8,6 +8,16 @@ reduces to, q-linear distance ratios toward the fixed point, and the two
 descent monitors (the objective trace itself and the weighted left-copy
 divergence to the converged reference, which lower-bounds per-step descent).
 
+Every divergence here is a sum over coordinates (Banerjee et al.,
+"Clustering with Bregman Divergences", JMLR 2005), so the split objective's
+Hessian never couples two different coordinates.  It is held as k
+per-coordinate blocks of size 2n, not as one 2nk-by-2nk matrix: the
+eigensolve and the quadratic form run block by block, in k times less
+memory and k^2 times less eigensolve work, and the dense matrix is
+assembled only on request (:meth:`HessianBlocks.assemble`, the tests'
+oracle).  The descent monitor evaluates the snapshots of a history
+together, a bounded block at a time.
+
 Analytic blocks are scaled consistently with the implemented generating
 functions; the base-2 ``kl`` kind therefore carries a 1/ln(2) factor
 everywhere, including in the expected value of the quadratic form.
@@ -21,11 +31,12 @@ from typing import List, Tuple
 import numpy as np
 
 from .ensemble_inputs import SimilarityMatrix
-from .exceptions import (ArgumentError, InsufficientTraceError, ShapeError,
+from .exceptions import (ArgumentError, DomainError, InsufficientTraceError, ShapeError,
                          UnsupportedDivergenceError)
 from .solver import SolverConfig, SolverState, _finite_of_shape, _Problem
 
 MAX_HESSIAN_DIM = 200  # diagnostics are desk-scale verifiers, not production paths
+_MONITOR_BLOCK = 1 << 16  # snapshot coordinates the delta_j monitor evaluates at once
 
 
 def hessian_fits(n: int, k: int) -> bool:
@@ -35,11 +46,13 @@ def hessian_fits(n: int, k: int) -> bool:
 
 @dataclass
 class HessianBlocks:
-    """The split objective's Hessian, dense and read-only.
+    """The split objective's Hessian as k per-coordinate blocks, read-only.
 
-    ``matrix`` is 2nk-by-2nk with the left copies first, each instance's k
-    coordinates contiguous.  Every k-by-k block of the entropy-type Hessian
-    is diagonal, and off-diagonal left-left and right-right blocks are zero.
+    Every divergence here is a sum over coordinates, so the Hessian never
+    couples two different coordinates: ordered by coordinate, it is block
+    diagonal.  ``blocks[a]`` is coordinate a's 2n-by-2n block, left copies
+    first: entry (p, q) is the full matrix's entry (p k + a, q k + a), with
+    p < n the left copy of node p and p >= n the right copy of node p - n.
     ``scale`` is the curvature constant of the generating function (1 for
     natural log, 1/ln 2 for the base-2 kind).
     """
@@ -47,37 +60,48 @@ class HessianBlocks:
     n: int
     k: int
     scale: float
-    matrix: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
 
     def block(self, side_i: str, i: int, side_j: str, j: int) -> np.ndarray:
-        """The k-by-k block for the ordered copy pair; side ``"l"`` or ``"r"``."""
-        def span(side, m):
-            start = (m if side == "l" else self.n + m) * self.k
-            return slice(start, start + self.k)
-        return self.matrix[span(side_i, i), span(side_j, j)]
+        """The k-by-k block for the ordered copy pair; side ``"l"`` or ``"r"``.
+
+        It is diagonal: one entry per coordinate block.
+        """
+        def row(side, m):
+            return m if side == "l" else self.n + m
+        return np.diag(self.blocks[:, row(side_i, i), row(side_j, j)])
 
     def assemble(self) -> np.ndarray:
-        """Dense symmetric 2nk-by-2nk matrix, left copies first."""
-        return self.matrix
+        """Dense symmetric 2nk-by-2nk matrix, left copies first.
+
+        Each instance's k coordinates are contiguous, and entries that
+        couple two coordinates are +0.0.
+        """
+        m = 2 * self.n
+        H = np.zeros((m, self.k, m, self.k))
+        for a in range(self.k):
+            H[:, a, :, a] = self.blocks[a]
+        return H.reshape(m * self.k, m * self.k)
 
 
 def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
                    config: SolverConfig) -> HessianBlocks:
-    """Closed-form Hessian of the split objective at the given state.
+    """Closed-form Hessian of the split objective at the given state, per coordinate.
 
     With c the curvature scale, and r and S the row sums and the dense form
-    of the similarity (read through its operator), the blocks are::
+    of the similarity (read through its operator, once), coordinate a's
+    block is ``[[LL_a, LR_a], [LR_a', RR_a]]`` with::
 
-        LL = diag(c (alpha r_i + lam) / yl_i)
-        RR = diag(c (pi_i + alpha (S yl)_i + lam yl_i) / yr_i^2)
-        LR = -(c alpha kron(S, I_k) + c lam I_nk) / yr, column by column
+        LL_a = diag(c (alpha r + lam) / yl_:a)
+        RR_a = diag(c (pi + alpha S yl + lam yl)_:a / yr_:a^2)
+        LR_a = -(c alpha S + c lam I) / yr_:a, column by column
 
     Only the two entropy-type kinds have these closed forms; other kinds
     raise :class:`UnsupportedDivergenceError`.  ``pi`` is checked as
     :func:`~bregman_consensus.solver.run` checks it, and the state's copies
-    must be finite and (n, k), or :class:`ShapeError` is raised.  A matrix
-    wider than :data:`MAX_HESSIAN_DIM` raises :class:`ShapeError` before it
-    is allocated.
+    must be finite and (n, k), or :class:`ShapeError` is raised.  A Hessian
+    wider than :data:`MAX_HESSIAN_DIM` raises :class:`ShapeError` before any
+    block is allocated.
     """
     spec = config.divergence
     if not spec.supports_hessian:
@@ -96,33 +120,45 @@ def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
     op = problem.op
     left = c * (alpha * op.row_sum[:, None] + lam) / yl
     right = c * (pi + alpha * op.matvec(yl) + lam * yl) / yr ** 2
-    # 0 - x: absent entries, and entries that underflow, stay +0.0
-    cross = 0.0 - c * alpha * np.kron(op.matvec(np.eye(n)), np.eye(k)) / yr.ravel()
-    if lam > 0.0:
-        np.fill_diagonal(cross, -c * lam / yr.ravel())  # kron(S, I) has a zero diagonal
-    H = np.block([[np.diag(left.ravel()), cross], [cross.T, np.diag(right.ravel())]])
+    weighted = c * alpha * op.matvec(np.eye(n))
+    H = np.zeros((k, 2 * n, 2 * n))
+    nodes = np.arange(n)
+    for a in range(k):
+        # 0 - x: absent entries, and entries that underflow, stay +0.0
+        cross = 0.0 - weighted / yr[:, a]
+        if lam > 0.0:
+            cross[nodes, nodes] = -c * lam / yr[:, a]  # S has a zero diagonal
+        H[a, :n, n:] = cross
+        H[a, n:, :n] = cross.T
+        H[a, nodes, nodes] = left[:, a]
+        H[a, n + nodes, n + nodes] = right[:, a]
     H.setflags(write=False)
-    return HessianBlocks(n=n, k=k, scale=c, matrix=H)
+    return HessianBlocks(n=n, k=k, scale=c, blocks=H)
 
 
 def check_positive_definite(blocks: HessianBlocks) -> Tuple[bool, float]:
-    """Dense symmetric eigensolve; returns (is PD, smallest eigenvalue)."""
-    smallest = float(np.linalg.eigvalsh(blocks.assemble())[0])
+    """Symmetric eigensolve per coordinate block; returns (is PD, smallest eigenvalue).
+
+    The Hessian's spectrum is the union of its blocks' spectra, so the
+    smallest eigenvalue is the least of the k blocks' smallest.
+    """
+    smallest = float(np.linalg.eigvalsh(blocks.blocks)[:, 0].min())
     return smallest > 0.0, smallest
 
 
 def quadratic_form_identity(blocks: HessianBlocks, state: SolverState, pi):
     """Evaluate z' H z at z = (left copies, right copies) itself.
 
-    For the entropy-type Hessian this telescopes to ``scale * sum(pi)``.
-    Returns ``(value, expected, residual)``.  A ``pi`` or a copy that is not
-    finite or not of the blocks' shape (n, k) raises :class:`ShapeError`.
+    The form is summed over the coordinate blocks, z_a' H_a z_a with z_a
+    coordinate a of both copies.  For the entropy-type Hessian it telescopes
+    to ``scale * sum(pi)``.  Returns ``(value, expected, residual)``.  A
+    ``pi`` or a copy that is not finite or not of the blocks' shape (n, k)
+    raises :class:`ShapeError`.
     """
     pi, yl, yr = _finite_of_shape((blocks.n, blocks.k), pi=pi, y_left=state.y_left,
                                   y_right=state.y_right)
-    z = np.concatenate([yl.ravel(), yr.ravel()])
-    H = blocks.assemble()
-    value = float(z @ H @ z)
+    z = np.concatenate([yl, yr]).T  # row a: coordinate a of every copy, left first
+    value = float(sum(z_a @ H_a @ z_a for z_a, H_a in zip(z, blocks.blocks)))
     expected = blocks.scale * float(pi.sum())
     return value, expected, abs(value - expected)
 
@@ -195,6 +231,17 @@ def delta_j(left_a, left_b, similarity: SimilarityMatrix, config: SolverConfig) 
     return float(np.sum(weights * np.atleast_1d(spec.bregman(left_a, left_b))))
 
 
+def _finite_in_domain(spec, block) -> bool:
+    """Whether ``block`` is finite and inside the domain up to the clamping floor."""
+    if not np.isfinite(block).all():
+        return False
+    try:
+        spec.check_domain(block)
+    except DomainError:
+        return False
+    return True
+
+
 @dataclass
 class DeltaJMonitor:
     """Trajectory of delta_j values against a converged left reference."""
@@ -204,8 +251,37 @@ class DeltaJMonitor:
 
     @classmethod
     def from_history(cls, reference_left, history, similarity, config) -> "DeltaJMonitor":
-        values = [delta_j(reference_left, y_left, similarity, config) for y_left, _ in history]
-        return cls(reference_left=np.asarray(reference_left, dtype=np.float64), values=values)
+        """``delta_j(reference_left, y_left)`` for each ``(y_left, _)`` of ``history``.
+
+        The values are those of one :func:`delta_j` call per snapshot, bit
+        for bit, and a reference or snapshot that call would reject raises
+        the same error (the reference is checked first, once).  The
+        reference's phi terms and the weights are formed once; the
+        snapshots are evaluated together, a block of at most
+        :data:`_MONITOR_BLOCK` coordinates (and at least one snapshot) at a
+        time, so the extra memory is O(n k) however long the history.
+        """
+        spec, rule = config.divergence, config.divergence._rule
+        shape = (similarity.n, spec.dimension)
+        (reference,) = _finite_of_shape(shape, left_a=reference_left)
+        ref = spec._admit(reference)
+        ref_phi = rule.phi_terms(ref).sum(axis=-1)
+        weights = config.lam + config.alpha * similarity.operator.row_sum
+        per_block = max(1, _MONITOR_BLOCK // max(1, ref.size))
+        values = []
+        for start in range(0, len(history), per_block):
+            snapshots = [np.asarray(y_left, dtype=np.float64)
+                         for y_left, _ in history[start:start + per_block]]
+            block = (np.stack(snapshots) if all(y.shape == shape for y in snapshots)
+                     else None)
+            if block is None or not _finite_in_domain(spec, block):
+                for y_left in snapshots:  # raise as delta_j would, at the first that fails
+                    spec.check_domain(*_finite_of_shape(shape, left_b=y_left))
+            q = spec.clamp(block)
+            bregman = (ref_phi - rule.phi_terms(q).sum(axis=-1)
+                       - ((ref - q) * rule.grad(q)).sum(axis=-1))
+            values += (weights * bregman).sum(axis=-1).tolist()
+        return cls(reference_left=reference, values=values)
 
     def is_monotone(self, slack: float = 1e-10) -> bool:
         v = self.values

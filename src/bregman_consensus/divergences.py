@@ -216,14 +216,20 @@ class DivergenceSpec:
     # -- domain handling ---------------------------------------------------
 
     def clamp(self, p):
-        """Clamp ``p`` into the evaluable interior of the domain."""
+        """Clamp ``p`` into the evaluable interior of the domain.
+
+        The bounds are applied by ``np.maximum`` and ``np.minimum``, the
+        values ``np.clip`` gives (NaN included) at a fraction of its
+        per-call cost.
+        """
         p = np.asarray(p, dtype=np.float64)
         rule = self._rule
         if rule.lower is None:
             return p
-        lo = rule.lower + self.domain_floor
-        hi = rule.upper - self.domain_floor if rule.upper is not None else None
-        return np.clip(p, lo, hi)
+        p = np.maximum(p, rule.lower + self.domain_floor)
+        if rule.upper is not None:
+            p = np.minimum(p, rule.upper - self.domain_floor)
+        return p
 
     def check_domain(self, p):
         """Raise :class:`DomainError` if ``p`` exceeds the domain by more than the floor."""

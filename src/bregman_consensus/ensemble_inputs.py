@@ -85,7 +85,7 @@ class SimilarityMatrix:
                 raise ShapeError(f"indices out of range for n={self.n}")
             if np.any(rows >= cols):
                 raise ShapeError("triplets must satisfy i < j (no diagonal)")
-            if np.any(vals <= 0.0) or np.any(vals > 1.0):
+            if not np.all((vals > 0.0) & (vals <= 1.0)):  # NaN fails both comparisons
                 raise RangeError("similarity values must lie in (0, 1]")
         key = _pair_key(rows, cols, self.n)
         if not np.all(key[1:] > key[:-1]):
@@ -248,10 +248,7 @@ class SimilarityOperator:
 
     def matvec(self, Y: np.ndarray) -> np.ndarray:
         """``S @ Y`` for an (n, m) array, as an (n, m) float64 array."""
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.ndim != 2 or Y.shape[0] != self.n:
-            raise ShapeError(f"expected an ({self.n}, m) array, got shape {Y.shape}")
-        return self._matrix @ Y
+        return self._matrix @ _operand(Y, self.n)
 
 
 class PartitionOperator:
@@ -288,13 +285,12 @@ class PartitionOperator:
         return bins
 
     def matvec(self, Y: np.ndarray) -> np.ndarray:
-        """``S @ Y`` for an (n, m) array.
+        """``S @ Y`` for an (n, m) array, as an (n, m) float64 array.
 
         ``bincount`` adds a bin's entries in ascending flat, hence node,
         order, so every cluster sums sequentially in ascending node order.
         """
-        if Y.ndim != 2 or Y.shape[0] != self.n:
-            raise ShapeError(f"expected an ({self.n}, m) array, got shape {Y.shape}")
+        Y = _operand(Y, self.n)
         m = Y.shape[1]
         y = Y.ravel()
         out = np.zeros(self.n * m)
@@ -304,6 +300,14 @@ class PartitionOperator:
             out += term
         out /= self._r2
         return out.reshape(self.n, m)
+
+
+def _operand(Y, n: int) -> np.ndarray:
+    """A product's operand as float64, which must be (n, m), or ``ShapeError``."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] != n:
+        raise ShapeError(f"expected an ({n}, m) array, got shape {Y.shape}")
+    return Y
 
 
 def _symmetric_csr(similarity: SimilarityMatrix):

@@ -1,10 +1,14 @@
 """Hessian blocks, positive definiteness, rate ratios, and descent monitors."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bregman_consensus import diagnostics
 from bregman_consensus.diagnostics import (
     MAX_HESSIAN_DIM,
     DeltaJMonitor,
@@ -18,12 +22,12 @@ from bregman_consensus.diagnostics import (
     render_report,
 )
 from bregman_consensus.divergences import divergence_spec
-from bregman_consensus.ensemble_inputs import SimilarityMatrix
-from bregman_consensus.exceptions import (ArgumentError, InsufficientTraceError, ShapeError,
-                                         UnsupportedDivergenceError)
+from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity
+from bregman_consensus.exceptions import (ArgumentError, DomainError, InsufficientTraceError,
+                                         ShapeError, UnsupportedDivergenceError)
 from bregman_consensus.solver import SolverConfig, SolverState, _Problem, run
 
-from conftest import (LAYOUTS, grad_objective, interior_points, layout_similarity,
+from conftest import (ALL_TOKENS, LAYOUTS, grad_objective, interior_points, layout_similarity,
                       pairwise_hessian, random_instance, random_pi, random_similarity,
                       weights)
 
@@ -176,6 +180,34 @@ def test_hessian_over_the_cap_raises_shape_error(rng):
     assert blocks.assemble().shape == (2 * (n - 1) * k,) * 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(token=st.sampled_from(["kl", "gen-i"]), n=st.integers(1, 12), k=st.integers(2, 4),
+       layout=st.sampled_from(LAYOUTS + ("partitions",)), alpha=weights, lam=weights,
+       seed=st.integers(0, 2**32 - 1))
+def test_per_block_checks_match_the_dense_matrix(token, n, k, layout, alpha, lam, seed):
+    # the smallest eigenvalue and z' H z from the k coordinate blocks, against
+    # the dense 2nk-by-2nk matrix
+    rng = np.random.default_rng(seed)
+    if layout == "partitions":
+        similarity = (coassociation_similarity(rng.integers(0, 3, (n, 4))) if n > 1
+                      else SimilarityMatrix.empty(n))
+    else:
+        similarity = layout_similarity(layout, rng, n)
+    pi = random_pi(token, rng, n, k)
+    state = _interior_state(token, rng, n, k)
+    config = SolverConfig(divergence=divergence_spec(token, k), alpha=alpha, lam=lam)
+    blocks = hessian_blocks(state, pi, similarity, config)
+    H = blocks.assemble()
+    pd, smallest = check_positive_definite(blocks)
+    dense = float(np.linalg.eigvalsh(H)[0])
+    assert abs(smallest - dense) <= 1e-10 * max(1.0, abs(dense))
+    assert pd == (smallest > 0.0)
+    value, expected, residual = quadratic_form_identity(blocks, state, pi)
+    z = np.concatenate([state.y_left.ravel(), state.y_right.ravel()])
+    assert abs(value - float(z @ H @ z)) <= 1e-12 * abs(expected)
+    assert residual <= 1e-12 * abs(expected)
+
+
 class TestPositiveDefiniteness:
     def test_random_interior_states_are_pd(self, rng):
         for _ in range(20):
@@ -316,6 +348,71 @@ class TestDeltaJ:
             _, star = run(pi, s, tight)
             monitor = DeltaJMonitor.from_history(star.y_left, state.copy_history, s, cfg)
             assert monitor.is_monotone(slack=1e-10)
+
+
+def _out_of_domain(token, snapshot):
+    """The snapshot with one coordinate outside the token's domain, or NaN where it has none."""
+    bad = snapshot.copy()
+    bad.flat[0] = {"squared": np.nan, "euclidean": np.nan, "logistic": 1.5}.get(token, -0.5)
+    return bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 8), k=st.integers(1, 4),
+       length=st.integers(1, 30), block=st.sampled_from([1, 5, 17, 1 << 16]),
+       defect=st.sampled_from([None, None, "domain", "nan", "inf", "shape"]),
+       alpha=weights, lam=weights, seed=st.integers(0, 2**32 - 1))
+def test_monitor_is_bitwise_one_delta_j_per_snapshot(token, n, k, length, block, defect,
+                                                    alpha, lam, seed):
+    # the monitor evaluates the snapshots together, block by block
+    rng = np.random.default_rng(seed)
+    similarity = random_similarity(rng, n)
+    config = SolverConfig(divergence=divergence_spec(token, k), alpha=alpha, lam=lam)
+    reference = interior_points(token, rng, n, k)
+    history = [(interior_points(token, rng, n, k), None) for _ in range(length)]
+    if defect is not None:
+        t = int(rng.integers(0, length))
+        y = history[t][0]
+        y = {"domain": lambda: _out_of_domain(token, y),
+             "nan": lambda: np.where(rng.uniform(size=y.shape) < 0.5, np.nan, y),
+             "inf": lambda: np.full_like(y, -np.inf),
+             "shape": lambda: y[:, :-1] if k > 1 else y[:-1]}[defect]()
+        history[t] = (y, None)
+    want, error = [], None
+    for y, _ in history:
+        try:
+            want.append(delta_j(reference, y, similarity, config))
+        except (ShapeError, DomainError) as exc:
+            error = exc
+            break
+    with mock.patch.object(diagnostics, "_MONITOR_BLOCK", block):
+        if error is None:
+            got = DeltaJMonitor.from_history(reference, history, similarity, config).values
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        else:
+            with pytest.raises(type(error)) as raised:
+                DeltaJMonitor.from_history(reference, history, similarity, config)
+            assert str(raised.value) == str(error)
+
+
+def test_monitor_memory_does_not_grow_with_the_history(rng):
+    # the snapshots go a bounded block at a time: about 7 copies' bytes at
+    # the peak here, where stacking all 40 at once peaked at 182
+    n, k = 20_000, 2
+    similarity = random_similarity(rng, 40)
+    similarity = SimilarityMatrix.from_pairs(n, similarity.rows, similarity.cols, similarity.vals)
+    config = SolverConfig(divergence=divergence_spec("gen-i", k), alpha=0.5, lam=0.1)
+    reference = interior_points("gen-i", rng, n, k)
+    history = [(interior_points("gen-i", rng, n, k), None) for _ in range(40)]
+    similarity.operator  # built outside the measurement
+    tracemalloc.start()
+    try:
+        monitor = DeltaJMonitor.from_history(reference, history, similarity, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(monitor.values) == 40
+    assert peak < 12 * reference.nbytes, f"peak {peak / reference.nbytes:.1f} copies"
 
 
 class TestReporting:

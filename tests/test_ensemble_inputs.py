@@ -154,6 +154,14 @@ class TestSimilarityMatrix:
         with pytest.raises(RangeError):
             SimilarityMatrix(3, np.array([0]), np.array([1]), np.array([1.5]))
 
+    @pytest.mark.parametrize("build", ["constructor", "from_pairs"])
+    def test_rejects_nan_weights(self, build):
+        # NaN failed neither "<= 0" nor "> 1", and run then stopped with
+        # "objective is nan at iteration 0"
+        make = (SimilarityMatrix if build == "constructor" else SimilarityMatrix.from_pairs)
+        with pytest.raises(RangeError, match=re.escape("must lie in (0, 1]")):
+            make(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]))
+
     def test_rejects_duplicate_and_mirrored_pairs(self):
         with pytest.raises(ShapeError, match="more than once"):
             SimilarityMatrix.from_pairs(3, [0, 1], [1, 0], [0.5, 0.5])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import coassociation_similarity
 from bregman_consensus.estimator import BregmanConsensus, check_probabilities
+from bregman_consensus.exceptions import ShapeError
 from bregman_consensus.solver import SolverConfig, run
 
 from conftest import ALL_TOKENS, column_loop_matvec, dense_coassociation, random_pi
@@ -108,6 +109,43 @@ def test_one_bincount_per_partition_whatever_the_width(monkeypatch, rng):
         assert len(calls) == r2, m
     # the bins of a width are formed once and kept
     assert op._bins_of_width(2) is op._bins_of_width(2)
+
+
+OPERANDS = {
+    "list": lambda Y: Y.tolist(),
+    "int": lambda Y: Y.astype(np.int64),
+    "float32": lambda Y: Y.astype(np.float32),
+    "non-contiguous": lambda Y: np.repeat(Y, 2, axis=1)[:, ::2],
+    "fortran": np.asfortranarray,
+}
+
+
+@pytest.mark.parametrize("operand", sorted(OPERANDS))
+def test_both_backings_convert_an_operand_alike(operand, rng):
+    # the partition product raised AttributeError on a list
+    n = 7
+    parts = rng.integers(0, 3, (n, 4))
+    Y = rng.integers(-3, 4, (n, 3)).astype(np.float64)
+    given_ = OPERANDS[operand](Y)
+    float64 = np.asarray(given_, dtype=np.float64)
+    products = []
+    for s in (coassociation_similarity(parts), dense_coassociation(parts)):
+        got = s.operator.matvec(given_)
+        assert got.dtype == np.float64 and got.shape == (n, 3)
+        assert got.tobytes() == s.operator.matvec(np.ascontiguousarray(float64)).tobytes()
+        products.append(got)
+    np.testing.assert_allclose(products[0], products[1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 2), (8, 1), (7, 2, 1), ()],
+                         ids=["flat", "short", "long", "3-d", "scalar"])
+def test_both_backings_reject_an_operand_of_the_wrong_shape(shape, rng):
+    parts = rng.integers(0, 3, (7, 4))
+    for s in (coassociation_similarity(parts), dense_coassociation(parts)):
+        with pytest.raises(ShapeError, match=r"expected an \(7, m\) array"):
+            s.operator.matvec(np.ones(shape))
+        with pytest.raises(ShapeError):
+            s.operator.matvec(np.ones(shape).tolist())
 
 
 def test_node_never_co_clustered_reads_exact_zeros(rng):

@@ -787,6 +787,26 @@ def test_stored_pair_relabelling_permutes_product_and_run(token, n, k, layout, s
                                                         rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(2, 8), k=st.integers(2, 4),
+       layout=st.sampled_from(["random", "gaps", "empty", "partitions"]),
+       alpha=weights, lam=weights, seed=st.integers(0, 2**32 - 1))
+def test_objective_trace_never_rises(token, n, k, layout, alpha, lam, seed):
+    # each half-step minimizes J exactly over one copy, so J cannot rise
+    # beyond rounding; on both backings, with either weight at 0
+    rng = np.random.default_rng(seed)
+    if layout == "partitions":
+        s = coassociation_similarity(_partitions_with_singletons(rng, n))
+    else:
+        s = layout_similarity(layout, rng, n)
+    pi = random_pi(token, rng, n, k)
+    cfg = SolverConfig(divergence=divergence_spec(token, k), alpha=alpha, lam=lam,
+                       epsilon=1e-300, max_iters=60)
+    trace = np.array(run(pi, s, cfg)[1].objective_trace)
+    slack = 1e-12 * np.maximum(np.abs(trace[:-1]), 1.0)
+    assert np.all(np.diff(trace) <= slack)
+
+
 _EPSILONS = (1e-6, 1e-10, 1e-14, 1e-16)
 
 
