@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -43,7 +44,8 @@ from .ensemble_inputs import (
     sparsify,
 )
 from .estimator import check_probabilities
-from .exceptions import BregmanConsensusError, UnsupportedDivergenceError
+from .exceptions import (BregmanConsensusError, InsufficientTraceError,
+                         UnsupportedDivergenceError)
 from .solver import SolverConfig, lambda_threshold
 
 _DIVERGENCE_TOKENS = tuple(kind.value for kind in DivergenceKind)
@@ -70,6 +72,7 @@ def _add_input_flags(p: argparse.ArgumentParser):
     group.add_argument("--similarity", help="triplet file with 'i,j,s' lines")
 
 
+@functools.cache  # parse_args leaves the parser as it is: one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bregman-consensus",
@@ -153,10 +156,15 @@ def _diagnostics_entries(recorded, reference, pi, similarity, config, hessian_on
     with ``config``, and ``reference`` the state of a run at
     ``epsilon=1e-14``, as :func:`_recorded_solve` gives them.  With
     ``hessian_only``, skipped Hessian checks raise instead of being reported.
+    A history too short for ``burn_in`` reports its rate as skipped, and its
+    trace rows have no ratio.
     """
     record, state = recorded
-    rate = diag.qlinear_ratios(state.copy_history, (reference.y_left, reference.y_right),
-                               burn_in=burn_in)
+    try:
+        rate = diag.qlinear_ratios(state.copy_history, (reference.y_left, reference.y_right),
+                                   burn_in=burn_in)
+    except InsufficientTraceError:
+        rate = None
     monitor = diag.DeltaJMonitor.from_history(reference.y_left, state.copy_history,
                                               similarity, config)
     entries = [
@@ -170,10 +178,15 @@ def _diagnostics_entries(recorded, reference, pi, similarity, config, hessian_on
         ("final_objective", float(state.objective_trace[-1])),
         ("descent_violation", diag.descent_violation(state.objective_trace)),
         ("delta_j_monotone", monitor.is_monotone()),
-        ("qlinear", rate.qlinear),
-        ("rho_estimate", float(rate.rho_estimate)),
-        ("ratios_checked", len(rate.past_burn_in(burn_in))),
     ]
+    if rate is None:
+        entries.append(("rate", "skipped=short"))
+    else:
+        entries += [
+            ("qlinear", rate.qlinear),
+            ("rho_estimate", float(rate.rho_estimate)),
+            ("ratios_checked", len(rate.past_burn_in(burn_in))),
+        ]
 
     supported = config.divergence.supports_hessian
     small = diag.hessian_fits(*pi.shape)
@@ -197,7 +210,7 @@ def _diagnostics_entries(recorded, reference, pi, similarity, config, hessian_on
     if small:
         entries.append(("lambda_hat", float(lambda_threshold(pi, similarity, config, state))))
 
-    ratio_at = dict(zip(rate.indices, rate.ratios))
+    ratio_at = {} if rate is None else dict(zip(rate.indices, rate.ratios))
     trace_rows = []
     for t, value in enumerate(state.objective_trace):
         ratio = repr(ratio_at[t]) if t in ratio_at else ""

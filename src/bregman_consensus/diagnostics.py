@@ -13,10 +13,10 @@ Every divergence here is a sum over coordinates (Banerjee et al.,
 Hessian never couples two different coordinates.  It is held as k
 per-coordinate blocks of size 2n, not as one 2nk-by-2nk matrix: the
 eigensolve and the quadratic form run block by block, in k times less
-memory and k^2 times less eigensolve work, and the dense matrix is
-assembled only on request (:meth:`HessianBlocks.assemble`, the tests'
-oracle).  The descent monitor evaluates the snapshots of a history
-together, a bounded block at a time.
+memory and k^2 times less eigensolve work.  The descent monitor evaluates
+the snapshots of a history together, a bounded block at a time, with
+:meth:`DivergenceSpec.bregman`; :func:`delta_j` is the monitor on a
+one-snapshot history.
 
 Analytic blocks are scaled consistently with the implemented generating
 functions; the base-2 ``kl`` kind therefore carries a 1/ln(2) factor
@@ -25,6 +25,7 @@ everywhere, including in the expected value of the quadratic form.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -50,38 +51,16 @@ class HessianBlocks:
 
     Every divergence here is a sum over coordinates, so the Hessian never
     couples two different coordinates: ordered by coordinate, it is block
-    diagonal.  ``blocks[a]`` is coordinate a's 2n-by-2n block, left copies
-    first: entry (p, q) is the full matrix's entry (p k + a, q k + a), with
-    p < n the left copy of node p and p >= n the right copy of node p - n.
-    ``scale`` is the curvature constant of the generating function (1 for
-    natural log, 1/ln 2 for the base-2 kind).
+    diagonal.  ``blocks`` has shape (k, 2n, 2n), and ``blocks[a]`` is
+    coordinate a's block, left copies first: entry (p, q) is the full
+    matrix's entry (p k + a, q k + a), with p < n the left copy of node p
+    and p >= n the right copy of node p - n.  ``scale`` is the curvature
+    constant of the generating function (1 for natural log, 1/ln 2 for the
+    base-2 kind).
     """
 
-    n: int
-    k: int
     scale: float
     blocks: np.ndarray = field(repr=False)
-
-    def block(self, side_i: str, i: int, side_j: str, j: int) -> np.ndarray:
-        """The k-by-k block for the ordered copy pair; side ``"l"`` or ``"r"``.
-
-        It is diagonal: one entry per coordinate block.
-        """
-        def row(side, m):
-            return m if side == "l" else self.n + m
-        return np.diag(self.blocks[:, row(side_i, i), row(side_j, j)])
-
-    def assemble(self) -> np.ndarray:
-        """Dense symmetric 2nk-by-2nk matrix, left copies first.
-
-        Each instance's k coordinates are contiguous, and entries that
-        couple two coordinates are +0.0.
-        """
-        m = 2 * self.n
-        H = np.zeros((m, self.k, m, self.k))
-        for a in range(self.k):
-            H[:, a, :, a] = self.blocks[a]
-        return H.reshape(m * self.k, m * self.k)
 
 
 def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
@@ -133,7 +112,7 @@ def hessian_blocks(state: SolverState, pi, similarity: SimilarityMatrix,
         H[a, nodes, nodes] = left[:, a]
         H[a, n + nodes, n + nodes] = right[:, a]
     H.setflags(write=False)
-    return HessianBlocks(n=n, k=k, scale=c, blocks=H)
+    return HessianBlocks(scale=c, blocks=H)
 
 
 def check_positive_definite(blocks: HessianBlocks) -> Tuple[bool, float]:
@@ -155,7 +134,8 @@ def quadratic_form_identity(blocks: HessianBlocks, state: SolverState, pi):
     ``pi`` or a copy that is not finite or not of the blocks' shape (n, k)
     raises :class:`ShapeError`.
     """
-    pi, yl, yr = _finite_of_shape((blocks.n, blocks.k), pi=pi, y_left=state.y_left,
+    k, m, _ = blocks.blocks.shape
+    pi, yl, yr = _finite_of_shape((m // 2, k), pi=pi, y_left=state.y_left,
                                   y_right=state.y_right)
     z = np.concatenate([yl, yr]).T  # row a: coordinate a of every copy, left first
     value = float(sum(z_a @ H_a @ z_a for z_a, H_a in zip(z, blocks.blocks)))
@@ -221,67 +201,53 @@ def delta_j(left_a, left_b, similarity: SimilarityMatrix, config: SolverConfig) 
     ``sum_i (lam + alpha * sum_{j != i} s_ij) d(a_i, b_i)``; nonnegative and
     zero exactly when the configurations coincide.  Along the solver's
     trajectory, its value against the converged reference never increases.
-    Either configuration not finite or not (n, k) raises :class:`ShapeError`
+    It is :class:`DeltaJMonitor` on the one-snapshot history ``[(b, _)]``:
+    either configuration not finite or not (n, k) raises :class:`ShapeError`
     naming it.
     """
-    spec = config.divergence
-    left_a, left_b = _finite_of_shape((similarity.n, spec.dimension), left_a=left_a,
-                                      left_b=left_b)
-    weights = config.lam + config.alpha * similarity.operator.row_sum
-    return float(np.sum(weights * np.atleast_1d(spec.bregman(left_a, left_b))))
-
-
-def _finite_in_domain(spec, block) -> bool:
-    """Whether ``block`` is finite and inside the domain up to the clamping floor."""
-    if not np.isfinite(block).all():
-        return False
-    try:
-        spec.check_domain(block)
-    except DomainError:
-        return False
-    return True
+    return DeltaJMonitor.from_history(left_a, [(left_b, None)], similarity, config).values[0]
 
 
 @dataclass
 class DeltaJMonitor:
     """Trajectory of delta_j values against a converged left reference."""
 
-    reference_left: np.ndarray
     values: List[float]
 
     @classmethod
     def from_history(cls, reference_left, history, similarity, config) -> "DeltaJMonitor":
         """``delta_j(reference_left, y_left)`` for each ``(y_left, _)`` of ``history``.
 
-        The values are those of one :func:`delta_j` call per snapshot, bit
-        for bit, and a reference or snapshot that call would reject raises
-        the same error (the reference is checked first, once).  The
-        reference's phi terms and the weights are formed once; the
-        snapshots are evaluated together, a block of at most
-        :data:`_MONITOR_BLOCK` coordinates (and at least one snapshot) at a
-        time, so the extra memory is O(n k) however long the history.
+        The reference is checked first, once: not finite or not (n, k), it
+        raises :class:`ShapeError` naming ``left_a``, and outside the domain
+        :class:`DomainError`, even when the history is empty.  The snapshots
+        go through :meth:`DivergenceSpec.bregman` together, a block of at
+        most :data:`_MONITOR_BLOCK` coordinates (and at least one snapshot)
+        at a time, so the extra memory is O(n k) however long the history.
+        A snapshot that fails raises as a one-snapshot history would: the
+        first such snapshot in order, named ``left_b``.
         """
-        spec, rule = config.divergence, config.divergence._rule
+        spec = config.divergence
         shape = (similarity.n, spec.dimension)
         (reference,) = _finite_of_shape(shape, left_a=reference_left)
-        ref = spec._admit(reference)
-        ref_phi = rule.phi_terms(ref).sum(axis=-1)
+        spec.check_domain(reference)
         weights = config.lam + config.alpha * similarity.operator.row_sum
-        per_block = max(1, _MONITOR_BLOCK // max(1, ref.size))
+        per_block = max(1, _MONITOR_BLOCK // max(1, reference.size))
         values = []
         for start in range(0, len(history), per_block):
             snapshots = [np.asarray(y_left, dtype=np.float64)
                          for y_left, _ in history[start:start + per_block]]
-            block = (np.stack(snapshots) if all(y.shape == shape for y in snapshots)
-                     else None)
-            if block is None or not _finite_in_domain(spec, block):
-                for y_left in snapshots:  # raise as delta_j would, at the first that fails
+            bregman = None
+            if all(y.shape == shape for y in snapshots):
+                block = np.stack(snapshots)
+                if np.isfinite(block).all():
+                    with contextlib.suppress(DomainError):
+                        bregman = spec.bregman(reference, block)
+            if bregman is None:
+                for y_left in snapshots:  # the block failed: raise at its first bad snapshot
                     spec.check_domain(*_finite_of_shape(shape, left_b=y_left))
-            q = spec.clamp(block)
-            bregman = (ref_phi - rule.phi_terms(q).sum(axis=-1)
-                       - ((ref - q) * rule.grad(q)).sum(axis=-1))
             values += (weights * bregman).sum(axis=-1).tolist()
-        return cls(reference_left=reference, values=values)
+        return cls(values=values)
 
     def is_monotone(self, slack: float = 1e-10) -> bool:
         v = self.values

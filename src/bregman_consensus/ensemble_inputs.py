@@ -139,9 +139,7 @@ class SimilarityMatrix:
         del order
         rows, cols = np.divmod(key, max(n, 1))
         del key
-        for arr in (rows, cols, s):
-            arr.setflags(write=False)
-        return cls(n, rows, cols, s)
+        return cls(n, *_read_only(rows, cols, s))
 
     @classmethod
     def from_dense(cls, a) -> "SimilarityMatrix":
@@ -154,7 +152,7 @@ class SimilarityMatrix:
         iu, ju = np.triu_indices(a.shape[0], k=1)
         vals = a[iu, ju]
         keep = vals != 0.0
-        return cls(a.shape[0], iu[keep], ju[keep], vals[keep])
+        return cls(a.shape[0], *_read_only(iu[keep], ju[keep], vals[keep]))
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -199,10 +197,7 @@ class PartitionSimilarity(SimilarityMatrix):
 
     @cached_property
     def _pairs(self):
-        pairs = _coassociation_pairs(self.clusters)
-        for arr in pairs:
-            arr.setflags(write=False)
-        return pairs
+        return _read_only(*_coassociation_pairs(self.clusters))
 
     @property
     def rows(self) -> np.ndarray:
@@ -350,6 +345,13 @@ def _coassociation_pairs(clusters: np.ndarray):
     return rows, cols, count / r2
 
 
+def _read_only(*arrays):
+    """The arrays, read-only: the SimilarityMatrix constructor keeps owned ones as given."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _pair_key(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """One integer per (row, col) pair of indices below ``n``, ordered row-major."""
     key = rows * n
@@ -452,12 +454,8 @@ def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix
     if threshold == 0.0:
         return similarity
     keep = similarity.vals >= threshold
-    return SimilarityMatrix(
-        similarity.n,
-        similarity.rows[keep],
-        similarity.cols[keep],
-        similarity.vals[keep],
-    )
+    return SimilarityMatrix(similarity.n, *_read_only(
+        similarity.rows[keep], similarity.cols[keep], similarity.vals[keep]))
 
 
 # -- file ingestion ---------------------------------------------------------
@@ -595,10 +593,7 @@ def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     if second is not None:
         _reject_row(path, second, f"pair ({lo[second]}, {hi[second]}) repeats an earlier line")
     keep = vals != 0.0  # zero weights are not stored
-    rows, cols, vals = lo[keep], hi[keep], vals[keep]
-    for arr in (rows, cols, vals):  # owned and read-only: the constructor keeps them
-        arr.setflags(write=False)
-    return SimilarityMatrix(n, rows, cols, vals)
+    return SimilarityMatrix(n, *_read_only(lo[keep], hi[keep], vals[keep]))
 
 
 def load_labels(path) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bregman_consensus.divergences import DivergenceKind, divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity
-from bregman_consensus.solver import SolverConfig
+from bregman_consensus.solver import SolverConfig, _finite_of_shape
 
 ALL_TOKENS = ["squared", "logistic", "bose-einstein", "itakura-saito",
               "euclidean", "kl", "gen-i"]
@@ -260,6 +260,44 @@ def pairwise_hessian(state, pi, similarity, config):
         H[ra, cb] = diag
         H[cb, ra] = diag
     return H
+
+
+def assemble(blocks):
+    """The dense symmetric 2nk-by-2nk matrix of ``HessianBlocks``, left copies first.
+
+    Each instance's k coordinates are contiguous, and entries that couple
+    two coordinates are +0.0.
+    """
+    k, m, _ = blocks.blocks.shape
+    H = np.zeros((m, k, m, k))
+    for a in range(k):
+        H[:, a, :, a] = blocks.blocks[a]
+    return H.reshape(m * k, m * k)
+
+
+def pair_block(blocks, side_i, i, side_j, j):
+    """The diagonal k-by-k block of ``HessianBlocks`` for an ordered copy pair.
+
+    ``side_i`` and ``side_j`` are ``"l"`` or ``"r"``; one entry per
+    coordinate block.
+    """
+    n = blocks.blocks.shape[1] // 2
+    row = {"l": 0, "r": n}
+    return np.diag(blocks.blocks[:, row[side_i] + i, row[side_j] + j])
+
+
+def pointwise_delta_j(left_a, left_b, similarity, config):
+    """delta_j by one Bregman evaluation of the two configurations.
+
+    The direct form ``DeltaJMonitor.from_history`` must reproduce bit for
+    bit on every snapshot, with the same errors: each configuration checked
+    finite and (n, k) in turn, then the domain by ``spec.bregman``.
+    """
+    spec = config.divergence
+    left_a, left_b = _finite_of_shape((similarity.n, spec.dimension), left_a=left_a,
+                                      left_b=left_b)
+    row_weights = config.lam + config.alpha * similarity.operator.row_sum
+    return float(np.sum(row_weights * np.atleast_1d(spec.bregman(left_a, left_b))))
 
 
 # -- independent derivative-free minimization of the two half-step objectives

@@ -33,6 +33,7 @@ from bregman_consensus.solver import (
 
 from conftest import (
     ALL_TOKENS,
+    assemble,
     eq_left_objective,
     eq_right_objective,
     fd_projected_gradient_j0,
@@ -144,7 +145,7 @@ def test_05_hessian_blocks_positive_definiteness_and_quadratic_form():
                 pi, s, cfg = random_instance(token, rng, n, k)
                 st = _state(interior_points(token, rng, n, k),
                             interior_points(token, rng, n, k))
-                H = hessian_blocks(st, pi, s, cfg).assemble()
+                H = assemble(hessian_blocks(st, pi, s, cfg))
                 z0 = np.concatenate([st.y_left.ravel(), st.y_right.ravel()])
                 fd = np.zeros_like(H)
                 h = 1e-5

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, file outputs, determinism."""
 
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -418,6 +419,63 @@ def test_sparsify_outside_the_unit_interval_exits_2(tmp_path, capsys, threshold)
                  "--labels-out", str(tmp_path / "labels.csv")])
     assert code == 2
     assert "sparsify threshold" in capsys.readouterr().err
+
+
+def _short_problem(tmp_path, rng):
+    """20 nodes, k = 2 and 4 partitions of 3 clusters, as pi and partition files."""
+    n = 20
+    save_matrix_csv(tmp_path / "pi.csv", random_pi("gen-i", rng, n, 2))
+    save_matrix_csv(tmp_path / "parts.csv", rng.integers(0, 3, (n, 4)))
+    return ["--pi", str(tmp_path / "pi.csv"), "--partitions", str(tmp_path / "parts.csv")]
+
+
+def _report_fields(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def test_run_shorter_than_the_burn_in_writes_its_diagnostics(tmp_path, rng, capsys):
+    # it exited 2 (burn_in + 3 = 8 snapshots needed, got 4), with no summary or report
+    report = tmp_path / "d.txt"
+    code = main(["run", *_short_problem(tmp_path, rng), "--max-iters", "3",
+                 "--labels-out", str(tmp_path / "labels.csv"), "--diagnostics-out", str(report)])
+    assert code == 3
+    assert capsys.readouterr().out.startswith("converged=false iters=3 J=")
+    fields = _report_fields(report)
+    assert fields["iterations"] == "3"
+    assert fields["rate"] == "skipped=short"
+    assert not {"qlinear", "rho_estimate", "ratios_checked"} & fields.keys()
+    assert {"delta_j_monotone", "pd", "lambda_hat"} <= fields.keys()
+
+
+def test_diagnose_shorter_than_the_burn_in_reports_the_rate_skipped(tmp_path, rng):
+    # alpha = lambda = 0 stops at iteration 2; it exited 2 with no report
+    report, trace = tmp_path / "report.txt", tmp_path / "trace.csv"
+    code = main(["diagnose", *_short_problem(tmp_path, rng), "--alpha", "0", "--lambda", "0",
+                 "--report-out", str(report), "--trace-out", str(trace)])
+    assert code == 0
+    fields = _report_fields(report)
+    assert fields["converged"] == "true" and fields["iterations"] == "2"
+    assert fields["rate"] == "skipped=short"
+    assert not {"qlinear", "rho_estimate", "ratios_checked"} & fields.keys()
+    rows = trace.read_text().splitlines()
+    assert len(rows) == 3
+    assert all(row.endswith(",") for row in rows)  # no ratio column
+
+
+def test_a_second_main_builds_no_parser(tmp_path, monkeypatch):
+    argv = ["run", "--pi", str(tmp_path / "absent.csv"),
+            "--similarity", str(tmp_path / "absent.txt")]
+    assert main(argv) == 2
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 2
+    assert built == []
 
 
 class TestBlockedWriters:

@@ -27,9 +27,9 @@ from bregman_consensus.exceptions import (ArgumentError, DomainError, Insufficie
                                          ShapeError, UnsupportedDivergenceError)
 from bregman_consensus.solver import SolverConfig, SolverState, _Problem, run
 
-from conftest import (ALL_TOKENS, LAYOUTS, grad_objective, interior_points, layout_similarity,
-                      pairwise_hessian, random_instance, random_pi, random_similarity,
-                      weights)
+from conftest import (ALL_TOKENS, LAYOUTS, assemble, grad_objective, interior_points,
+                      layout_similarity, pair_block, pairwise_hessian, pointwise_delta_j,
+                      random_instance, random_pi, random_similarity, weights)
 
 
 def _state(y_left, y_right):
@@ -54,21 +54,21 @@ class TestHessianBlocks:
         st = _interior_state("gen-i", rng, 1, 3)
         pi = random_pi("gen-i", rng, 1, 3)
         blocks = hessian_blocks(st, pi, SimilarityMatrix.empty(1), cfg)
-        np.testing.assert_allclose(blocks.block("l", 0, "l", 0),
+        np.testing.assert_allclose(pair_block(blocks, "l", 0, "l", 0),
                                    np.diag(0.7 / st.y_left[0]), atol=1e-15)
 
     def test_assembled_matrix_is_symmetric(self, rng):
         pi, s, cfg = random_instance("gen-i", rng, 4, 3)
         st = _interior_state("gen-i", rng, 4, 3)
-        H = hessian_blocks(st, pi, s, cfg).assemble()
+        H = assemble(hessian_blocks(st, pi, s, cfg))
         assert np.abs(H - H.T).max() == 0.0
 
     def test_off_diagonal_same_side_blocks_are_zero(self, rng):
         pi, s, cfg = random_instance("kl", rng, 3, 2)
         st = _interior_state("kl", rng, 3, 2)
         blocks = hessian_blocks(st, pi, s, cfg)
-        assert np.all(blocks.block("l", 0, "l", 1) == 0.0)
-        assert np.all(blocks.block("r", 1, "r", 2) == 0.0)
+        assert np.all(pair_block(blocks, "l", 0, "l", 1) == 0.0)
+        assert np.all(pair_block(blocks, "r", 1, "r", 2) == 0.0)
 
     @pytest.mark.parametrize("token", ["kl", "gen-i"])
     def test_blocks_match_finite_differences_of_gradient(self, token, rng):
@@ -76,7 +76,7 @@ class TestHessianBlocks:
         for _ in range(10):
             pi, s, cfg = random_instance(token, rng, n, k)
             st = _interior_state(token, rng, n, k)
-            H = hessian_blocks(st, pi, s, cfg).assemble()
+            H = assemble(hessian_blocks(st, pi, s, cfg))
             z0 = np.concatenate([st.y_left.ravel(), st.y_right.ravel()])
             h = 1e-5
             fd = np.zeros_like(H)
@@ -149,7 +149,7 @@ def test_hessian_matches_pairwise_oracle_bitwise(token, n, k, layout, alpha, lam
         yl, yr = interior_points(token, rng, n, k), interior_points(token, rng, n, k)
     config = SolverConfig(divergence=divergence_spec(token, k), alpha=alpha, lam=lam)
     state = _state(yl, yr)
-    got = hessian_blocks(state, pi, similarity, config).assemble()
+    got = assemble(hessian_blocks(state, pi, similarity, config))
     want = pairwise_hessian(state, pi, similarity, config)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
@@ -164,7 +164,7 @@ def test_hessian_keeps_positive_zeros_where_alpha_underflows_a_pair_weight(rng):
                           alpha=float(np.finfo(float).tiny), lam=0.3)
     pi = random_pi("gen-i", rng, n, k)
     state = _state(interior_points("gen-i", rng, n, k), interior_points("gen-i", rng, n, k))
-    got = hessian_blocks(state, pi, similarity, config).assemble()
+    got = assemble(hessian_blocks(state, pi, similarity, config))
     assert got.tobytes() == pairwise_hessian(state, pi, similarity, config).tobytes()
 
 
@@ -177,7 +177,7 @@ def test_hessian_over_the_cap_raises_shape_error(rng):
                        random_similarity(rng, n), cfg)
     blocks = hessian_blocks(_interior_state("gen-i", rng, n - 1, k),
                             random_pi("gen-i", rng, n - 1, k), random_similarity(rng, n - 1), cfg)
-    assert blocks.assemble().shape == (2 * (n - 1) * k,) * 2
+    assert assemble(blocks).shape == (2 * (n - 1) * k,) * 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,7 +197,7 @@ def test_per_block_checks_match_the_dense_matrix(token, n, k, layout, alpha, lam
     state = _interior_state(token, rng, n, k)
     config = SolverConfig(divergence=divergence_spec(token, k), alpha=alpha, lam=lam)
     blocks = hessian_blocks(state, pi, similarity, config)
-    H = blocks.assemble()
+    H = assemble(blocks)
     pd, smallest = check_positive_definite(blocks)
     dense = float(np.linalg.eigvalsh(H)[0])
     assert abs(smallest - dense) <= 1e-10 * max(1.0, abs(dense))
@@ -364,7 +364,8 @@ def _out_of_domain(token, snapshot):
        alpha=weights, lam=weights, seed=st.integers(0, 2**32 - 1))
 def test_monitor_is_bitwise_one_delta_j_per_snapshot(token, n, k, length, block, defect,
                                                     alpha, lam, seed):
-    # the monitor evaluates the snapshots together, block by block
+    # the monitor evaluates the snapshots together, block by block, against
+    # one pointwise evaluation per snapshot
     rng = np.random.default_rng(seed)
     similarity = random_similarity(rng, n)
     config = SolverConfig(divergence=divergence_spec(token, k), alpha=alpha, lam=lam)
@@ -381,7 +382,7 @@ def test_monitor_is_bitwise_one_delta_j_per_snapshot(token, n, k, length, block,
     want, error = [], None
     for y, _ in history:
         try:
-            want.append(delta_j(reference, y, similarity, config))
+            want.append(pointwise_delta_j(reference, y, similarity, config))
         except (ShapeError, DomainError) as exc:
             error = exc
             break

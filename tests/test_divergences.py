@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregman_consensus import BregmanConsensus
 from bregman_consensus.divergences import (
@@ -168,10 +170,13 @@ class TestInvariants:
                 fd[c] = (spec.phi(pp) - spec.phi(pm)) / (2 * h)
             np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
-    def test_dual_identity(self, token, rng):
-        spec = divergence_spec(token, 3)
-        p = interior_points(token, rng, 10_000, 3)
-        q = interior_points(token, rng, 10_000, 3)
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_dual_identity(self, token, k, seed):
+        rng = np.random.default_rng(seed)
+        spec = divergence_spec(token, k)
+        p = interior_points(token, rng, 2_000, k)
+        q = interior_points(token, rng, 2_000, k)
         primal = spec.bregman(p, q)
         dual = spec.bregman_dual(spec.grad(q), spec.grad(p))
         assert np.max(np.abs(primal - dual)) <= 1e-9

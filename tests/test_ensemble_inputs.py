@@ -394,6 +394,20 @@ class TestSparsify:
         with pytest.raises(RangeError):
             sparsify(random_similarity(rng, 4), 1.5)
 
+    def test_peak_stays_below_1_75_times_the_kept_arrays(self):
+        # the kept pairs reach the constructor read-only and are kept as they
+        # are; copied there a second time, the peak was 2.4 times
+        similarity = _large_graph()
+        tracemalloc.start()
+        try:
+            out = sparsify(similarity, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = out.rows.nbytes + out.cols.nbytes + out.vals.nbytes
+        assert 0 < out.nnz < similarity.nnz
+        assert peak < 1.75 * kept, peak / kept
+
     def test_emptied_matrix_reduces_to_alpha_zero_run(self, rng):
         # dropping every entry must reproduce the alpha=0 fixed point exactly
         pi = rng.uniform(0.2, 1.0, (6, 3))
