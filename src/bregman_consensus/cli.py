@@ -20,6 +20,7 @@ Hessian-only diagnosis asked for a divergence without closed-form blocks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -138,14 +139,15 @@ def _summary_line(labeling, trace):
 
 
 def _recorded_solve(pi, similarity, config):
-    """``config``'s run and the 1e-14 reference state, read off one recorded solve.
+    """``config``'s run and the 1e-14 reference run, read off one recorded solve.
 
-    The solve runs at the tighter of the two tolerances, so it goes as far
-    as both; ``max_iters`` caps both.
+    Both are ``(labeling, state)`` pairs.  The solve runs at the tighter of
+    the two tolerances, so it goes as far as both; ``max_iters`` caps both,
+    and a capped reference says so in its ``converged``.
     """
     tight = dataclasses.replace(config, epsilon=min(config.epsilon, _REFERENCE_EPSILON))
     _, record = solver.run(pi, similarity, tight, record_copies=True)
-    _, reference = solver.prefix(record, dataclasses.replace(config, epsilon=_REFERENCE_EPSILON))
+    reference = solver.prefix(record, dataclasses.replace(config, epsilon=_REFERENCE_EPSILON))
     return solver.prefix(record, config), reference
 
 
@@ -153,19 +155,22 @@ def _diagnostics_entries(recorded, reference, pi, similarity, config, hessian_on
     """Report entries and trace rows from a recorded run and its reference.
 
     ``recorded`` is the ``(labeling, state)`` of a ``record_copies=True`` run
-    with ``config``, and ``reference`` the state of a run at
-    ``epsilon=1e-14``, as :func:`_recorded_solve` gives them.  With
-    ``hessian_only``, skipped Hessian checks raise instead of being reported.
-    A history too short for ``burn_in`` reports its rate as skipped, and its
-    trace rows have no ratio.
+    with ``config``, and ``reference`` that of a run at ``epsilon=1e-14``,
+    as :func:`_recorded_solve` gives them.  With ``hessian_only``, skipped
+    Hessian checks raise instead of being reported.  A reference that hit
+    the iteration cap is reported with its iteration count, and the rate,
+    whose ratios would be measured against it, as skipped; so is the rate
+    of a history too short for ``burn_in``.  A skipped rate leaves the trace
+    rows without a ratio.
     """
     record, state = recorded
-    try:
-        rate = diag.qlinear_ratios(state.copy_history, (reference.y_left, reference.y_right),
-                                   burn_in=burn_in)
-    except InsufficientTraceError:
-        rate = None
-    monitor = diag.DeltaJMonitor.from_history(reference.y_left, state.copy_history,
+    star_run, star = reference
+    rate = None
+    if star_run.converged:
+        with contextlib.suppress(InsufficientTraceError):
+            rate = diag.qlinear_ratios(state.copy_history, (star.y_left, star.y_right),
+                                       burn_in=burn_in)
+    monitor = diag.DeltaJMonitor.from_history(star.y_left, state.copy_history,
                                               similarity, config)
     entries = [
         ("divergence", config.divergence.kind.value),
@@ -179,7 +184,13 @@ def _diagnostics_entries(recorded, reference, pi, similarity, config, hessian_on
         ("descent_violation", diag.descent_violation(state.objective_trace)),
         ("delta_j_monotone", monitor.is_monotone()),
     ]
-    if rate is None:
+    if not star_run.converged:
+        entries += [
+            ("reference_converged", False),
+            ("reference_iterations", star_run.iterations_used),
+            ("rate", "skipped=reference"),
+        ]
+    elif rate is None:
         entries.append(("rate", "skipped=short"))
     else:
         entries += [

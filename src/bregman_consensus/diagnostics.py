@@ -15,8 +15,8 @@ per-coordinate blocks of size 2n, not as one 2nk-by-2nk matrix: the
 eigensolve and the quadratic form run block by block, in k times less
 memory and k^2 times less eigensolve work.  The descent monitor evaluates
 the snapshots of a history together, a bounded block at a time, with
-:meth:`DivergenceSpec.bregman`; :func:`delta_j` is the monitor on a
-one-snapshot history.
+:meth:`DivergenceSpec.bregman`'s kernel against a reference admitted once;
+:func:`delta_j` is the monitor on a one-snapshot history.
 
 Analytic blocks are scaled consistently with the implemented generating
 functions; the base-2 ``kl`` kind therefore carries a 1/ln(2) factor
@@ -218,19 +218,20 @@ class DeltaJMonitor:
     def from_history(cls, reference_left, history, similarity, config) -> "DeltaJMonitor":
         """``delta_j(reference_left, y_left)`` for each ``(y_left, _)`` of ``history``.
 
-        The reference is checked first, once: not finite or not (n, k), it
-        raises :class:`ShapeError` naming ``left_a``, and outside the domain
-        :class:`DomainError`, even when the history is empty.  The snapshots
-        go through :meth:`DivergenceSpec.bregman` together, a block of at
-        most :data:`_MONITOR_BLOCK` coordinates (and at least one snapshot)
-        at a time, so the extra memory is O(n k) however long the history.
+        The reference is checked and clamped first, once: not finite or not
+        (n, k), it raises :class:`ShapeError` naming ``left_a``, and outside
+        the domain :class:`DomainError`, even when the history is empty.  The
+        snapshots go through :meth:`DivergenceSpec.bregman`'s kernel
+        together, a block of at most :data:`_MONITOR_BLOCK` coordinates (and
+        at least one snapshot) at a time, each block checked and clamped
+        there, so the extra memory is O(n k) however long the history.
         A snapshot that fails raises as a one-snapshot history would: the
         first such snapshot in order, named ``left_b``.
         """
         spec = config.divergence
         shape = (similarity.n, spec.dimension)
         (reference,) = _finite_of_shape(shape, left_a=reference_left)
-        spec.check_domain(reference)
+        reference = spec._admit(reference)
         weights = config.lam + config.alpha * similarity.operator.row_sum
         per_block = max(1, _MONITOR_BLOCK // max(1, reference.size))
         values = []
@@ -242,7 +243,7 @@ class DeltaJMonitor:
                 block = np.stack(snapshots)
                 if np.isfinite(block).all():
                     with contextlib.suppress(DomainError):
-                        bregman = spec.bregman(reference, block)
+                        bregman = spec._bregman_from(reference, block)
             if bregman is None:
                 for y_left in snapshots:  # the block failed: raise at its first bad snapshot
                     spec.check_domain(*_finite_of_shape(shape, left_b=y_left))

@@ -284,7 +284,10 @@ class DivergenceSpec:
 
     def bregman(self, p, q):
         """phi(p) - phi(q) - <p - q, grad phi(q)>, reduced over the last axis."""
-        p = self._admit(p)
+        return self._bregman_from(self._admit(p), q)
+
+    def _bregman_from(self, p, q):
+        """:meth:`bregman` with ``p`` already checked and clamped: only ``q`` is admitted."""
         q = self._admit(q)
         terms = self._rule
         return (

@@ -20,7 +20,10 @@ with an absent (zero) diagonal and is read by the solver only through its
   2002).  The operator is :class:`PartitionOperator`: one grouped sum per
   partition, O(n k r2) per product, over bins kept per product width (r2 n m
   integers for width m).  The pairs are enumerated only when
-  ``rows``/``cols``/``vals`` are read.
+  ``rows``/``cols``/``vals`` are read, or by ``sparsify`` with a positive
+  threshold, which keeps only the pairs it needs.  They are listed for a
+  bounded block of rows at a time (``_PAIR_BLOCK`` raw keys), so the
+  enumeration holds the arrays it returns plus a few MB of working space.
 
 Data files share one comma-separated grammar: a leading UTF-8 byte-order
 mark is ignored, blank and whitespace-only lines are skipped, the first
@@ -186,8 +189,11 @@ class PartitionSimilarity(SimilarityMatrix):
     ``clusters`` is (n, r2) with each column relabelled to 0..m_c-1.  The
     :attr:`operator` is a :class:`PartitionOperator` over it.  The pairs
     are enumerated on first read of ``rows``, ``cols``, ``vals`` or ``nnz``
-    and kept; a solve reads none of them, but ``run --sparsify t`` with
-    t > 0 does, through :func:`sparsify`.
+    and kept; a solve reads none of them.  The enumeration lists a bounded
+    block of rows at a time, so its transient peak is the pairs' own bytes
+    plus a few MB: 1.17 times them for the benchmark's 357 079 pairs.
+    ``run --sparsify t`` with t > 0 goes through :func:`sparsify`, which
+    lists only the pairs it keeps and caches nothing here.
     """
 
     def __init__(self, clusters: np.ndarray):
@@ -197,7 +203,7 @@ class PartitionSimilarity(SimilarityMatrix):
 
     @cached_property
     def _pairs(self):
-        return _read_only(*_coassociation_pairs(self.clusters))
+        return _read_only(*_coassociation_pairs(self.clusters, 0.0))
 
     @property
     def rows(self) -> np.ndarray:
@@ -323,26 +329,61 @@ def _symmetric_csr(similarity: SimilarityMatrix):
     return upper + upper.T
 
 
-def _coassociation_pairs(clusters: np.ndarray):
+# Raw pair keys the co-association enumeration lists at a time: about 1 MB of
+# int64, and a few times that in the block's sort, beside the pairs it keeps.
+_PAIR_BLOCK = 1 << 17
+
+
+def _coassociation_pairs(clusters: np.ndarray, threshold: float):
     """Canonical (rows, cols, vals) of the co-association of relabelled clusters.
 
-    Each partition lists the pairs i < j inside each of its clusters as
-    :func:`_pair_key` keys; a pair's value is the number of partitions that
-    list it over r2.
+    Only pairs whose value ``count / r2`` is at least ``threshold`` are kept,
+    the comparison :func:`sparsify` makes.  Each partition lists the pairs
+    i < j inside each of its clusters as row-major keys ``i * n + j``; a
+    pair's value is the number of partitions that list it over r2.  The keys
+    are listed for one block of rows at a time, at most :data:`_PAIR_BLOCK`
+    of them (a row with more is a block of its own), and one ``np.unique``
+    counts each block.  The blocks are ascending, disjoint row ranges, so
+    their kept keys, concatenated, are already in canonical order; each
+    count is held in the smallest unsigned type that holds r2 until the end.
     """
     n, r2 = clusters.shape
-    keys = []
+    position = np.arange(n)
+    partitions = []
     for ids in clusters.T:
         members = np.argsort(ids, kind="stable")  # by cluster, ascending inside each
         sizes = np.bincount(ids)
-        position = np.arange(n)
-        later = np.repeat(np.cumsum(sizes), sizes) - position - 1  # members after it
-        first = np.repeat(position, later)
-        step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-        keys.append(_pair_key(members[first], members[first + step + 1], n))
-    key, count = np.unique(np.concatenate(keys), return_counts=True)
+        rank = np.empty(n, dtype=np.int64)  # each node's place in members
+        rank[members] = position
+        later = np.empty(n, dtype=np.int64)  # each node's co-members after it
+        later[members] = np.repeat(np.cumsum(sizes), sizes) - position - 1
+        partitions.append((members, rank, later))
+    ends = np.cumsum(sum(later for _, _, later in partitions))  # raw keys up to each row
+    count_type = np.min_scalar_type(r2)
+    keys, counts = [], []
+    lo = 0
+    while lo < n:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), lo + 1)
+        block = []
+        for members, rank, later in partitions:
+            length = later[lo:hi]
+            start = rank[lo:hi] + 1 - (np.cumsum(length) - length)  # less the row's offset
+            place = np.arange(int(length.sum())) + np.repeat(start, length)
+            block.append(np.repeat(position[lo:hi] * n, length) + members[place])
+        key, count = np.unique(np.concatenate(block), return_counts=True)
+        del block
+        if threshold > 0.0:
+            keep = count / r2 >= threshold
+            key, count = key[keep], count[keep]
+        keys.append(key)
+        counts.append(count.astype(count_type))
+        lo = hi
+    key = np.concatenate(keys)
+    del keys
     rows, cols = np.divmod(key, n)
-    return rows, cols, count / r2
+    del key
+    return rows, cols, np.concatenate(counts) / r2
 
 
 def _read_only(*arrays):
@@ -448,11 +489,20 @@ def coassociation_similarity(partitions) -> SimilarityMatrix:
 
 
 def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix:
-    """Drop entries with s_ij < threshold; threshold 0 returns ``similarity`` itself."""
+    """Drop entries with s_ij < threshold; threshold 0 returns ``similarity`` itself.
+
+    A :class:`PartitionSimilarity` has its pairs enumerated with the
+    threshold applied a block of rows at a time, so only the kept pairs are
+    ever held and none is cached on ``similarity``; the result is the same,
+    bit for bit, as filtering all of its pairs.
+    """
     if not 0.0 <= threshold <= 1.0:
         raise RangeError(f"sparsify threshold must lie in [0, 1], got {threshold}")
     if threshold == 0.0:
         return similarity
+    if isinstance(similarity, PartitionSimilarity):  # list the kept pairs only
+        return SimilarityMatrix(similarity.n, *_read_only(
+            *_coassociation_pairs(similarity.clusters, threshold)))
     keep = similarity.vals >= threshold
     return SimilarityMatrix(similarity.n, *_read_only(
         similarity.rows[keep], similarity.cols[keep], similarity.vals[keep]))

@@ -275,16 +275,21 @@ class _Problem:
         return self.objective(Y, Y, lam=0.0)
 
     def grad_j0(self, Y):
-        """Gradient of J0 at ``Y``; phi's derivatives are taken at ``Y`` clamped."""
+        """Gradient of J0 at ``Y``; phi's derivatives are taken at ``Y`` clamped.
+
+        ``S G`` and ``S Y`` come from one product with ``[G, Y]``: each
+        column's sums run in an order the operator fixes, whatever the
+        operand's width, so they are the bits of two separate products.
+        """
         clamped = self.spec.clamp(Y)
         G = self.rule.grad(clamped)
         H = self.rule.hess_diag(clamped)
         grad = H * (Y - self.pi)
         if self.alpha > 0.0:
-            nbr_g = self.op.matvec(G)
-            nbr_y = self.op.matvec(Y)
-            grad += self.alpha * (self.row_sum * G - nbr_g)  # first-argument occurrences
-            grad += self.alpha * H * (self.row_sum * Y - nbr_y)  # second-argument occurrences
+            k = Y.shape[1]
+            nbr = self.op.matvec(np.hstack([G, Y]))
+            grad += self.alpha * (self.row_sum * G - nbr[:, :k])  # first-argument occurrences
+            grad += self.alpha * H * (self.row_sum * Y - nbr[:, k:])  # second-argument occurrences
         return grad
 
 

@@ -1,5 +1,7 @@
 """Shared samplers and independent oracles for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -86,6 +88,41 @@ def random_instance(token, rng, n, k, alpha=None, lam=None, **kwargs):
 def partition_similarity(rng, n, r2=4, clusters=3):
     parts = rng.integers(0, clusters, (n, r2))
     return coassociation_similarity(parts)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def enumerated_pairs(clusters):
+    """Canonical (rows, cols, vals) of a co-association, every pair listed at once.
+
+    The direct form the blocked enumeration behind ``PartitionSimilarity``
+    must reproduce byte for byte: each partition lists the pairs i < j
+    inside each of its relabelled clusters as keys ``i * n + j``, and one
+    ``np.unique`` over all of them counts each pair; its value is the count
+    over r2.
+    """
+    n, r2 = clusters.shape
+    keys = []
+    for ids in clusters.T:
+        members = np.argsort(ids, kind="stable")  # by cluster, ascending inside each
+        sizes = np.bincount(ids)
+        position = np.arange(n)
+        later = np.repeat(np.cumsum(sizes), sizes) - position - 1  # members after it
+        first = np.repeat(position, later)
+        step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        keys.append(members[first] * n + members[first + step + 1])
+    key, count = np.unique(np.concatenate(keys), return_counts=True)
+    rows, cols = np.divmod(key, n)
+    return rows, cols, count / r2
 
 
 def dense_coassociation(partitions):
@@ -407,14 +444,14 @@ def two_solve_reference(pi, similarity, config):
 
     The form ``cli._recorded_solve`` must reproduce bit for bit: a
     ``record_copies=True`` run at ``config``, then a separate run from the
-    uniform start at ``epsilon=1e-14``.
+    uniform start at ``epsilon=1e-14``, each a ``(labeling, state)`` pair.
     """
     import dataclasses
 
     from bregman_consensus.solver import run
 
     recorded = run(pi, similarity, config, record_copies=True)
-    return recorded, run(pi, similarity, dataclasses.replace(config, epsilon=1e-14))[1]
+    return recorded, run(pi, similarity, dataclasses.replace(config, epsilon=1e-14))
 
 
 def fd_projected_gradient_j0(pi, similarity, config, iters=3000):
@@ -460,7 +497,8 @@ class CheckedProblem:
     reproduce bit for bit: each phi, gradient, Hessian diagonal and gradient
     inverse goes through the public :class:`DivergenceSpec` evaluator, which
     checks and clamps its argument on every call, and J clamps both copies
-    itself; every sum runs in the solver's order.
+    itself; every sum runs in the solver's order.  J0's gradient takes
+    ``S G`` and ``S Y`` as two products, where the solver makes one.
     """
 
     def __init__(self, pi, similarity, config):

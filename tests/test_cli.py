@@ -1,7 +1,6 @@
 """Command-line behaviour: exit codes, file outputs, determinism."""
 
 import argparse
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from bregman_consensus.ensemble_inputs import (SimilarityMatrix, load_prob_csv, 
                                                save_matrix_csv, save_similarity_triplets)
 from bregman_consensus.solver import Labeling
 
-from conftest import random_pi, random_similarity
+from conftest import random_pi, random_similarity, traced_peak
 
 
 @pytest.fixture
@@ -268,7 +267,8 @@ def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypa
                      "--diagnostics-out", str(report))
     pi_arr, similarity, config = cli._load_problem(cli.build_parser().parse_args(argv))
     recorded = solver.run(pi_arr, similarity, config, record_copies=True)
-    _, fresh = solver.run(pi_arr, similarity, dataclasses.replace(config, epsilon=1e-14))
+    reference = solver.run(pi_arr, similarity, dataclasses.replace(config, epsilon=1e-14))
+    fresh = reference[1]
     assert fresh.iteration > recorded[1].iteration  # the reference goes past the main solve
 
     sweeps = []
@@ -285,7 +285,7 @@ def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypa
     monkeypatch.undo()
 
     # the report equals one built from a separate record_copies=True run
-    entries, _ = cli._diagnostics_entries(recorded, fresh, pi_arr, similarity, config, None,
+    entries, _ = cli._diagnostics_entries(recorded, reference, pi_arr, similarity, config, None,
                                           burn_in=5)
     assert report.read_bytes() == diag.render_report(entries).encode("utf-8")
 
@@ -442,7 +442,9 @@ def test_run_shorter_than_the_burn_in_writes_its_diagnostics(tmp_path, rng, caps
     assert capsys.readouterr().out.startswith("converged=false iters=3 J=")
     fields = _report_fields(report)
     assert fields["iterations"] == "3"
-    assert fields["rate"] == "skipped=short"
+    # the 1e-14 reference is capped at 3 iterations too, which takes precedence
+    assert fields["rate"] == "skipped=reference"
+    assert (fields["reference_converged"], fields["reference_iterations"]) == ("false", "3")
     assert not {"qlinear", "rho_estimate", "ratios_checked"} & fields.keys()
     assert {"delta_j_monotone", "pd", "lambda_hat"} <= fields.keys()
 
@@ -460,6 +462,34 @@ def test_diagnose_shorter_than_the_burn_in_reports_the_rate_skipped(tmp_path, rn
     rows = trace.read_text().splitlines()
     assert len(rows) == 3
     assert all(row.endswith(",") for row in rows)  # no ratio column
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_a_capped_reference_is_marked_and_no_rate_is_reported(tmp_path, rng, command):
+    # the ratios were measured against the run's own last iterate, the capped
+    # reference, and reported as qlinear=true
+    inputs = _short_problem(tmp_path, rng)
+    report, trace = tmp_path / "report.txt", tmp_path / "trace.csv"
+    if command == "run":
+        outputs = ["--labels-out", str(tmp_path / "labels.csv"), "--diagnostics-out"]
+    else:
+        outputs = ["--trace-out", str(trace), "--report-out"]
+    for flags in ((), ("--max-iters", "12")):
+        code = main([command, *inputs, *flags, *outputs, str(report)])
+        fields = _report_fields(report)
+        if not flags:  # a converged reference adds no entry
+            assert code == 0 and int(fields["iterations"]) > 12
+            assert not {"reference_converged", "reference_iterations"} & fields.keys()
+            assert "qlinear" in fields
+    assert code == 3 and fields["iterations"] == "12"
+    assert (fields["reference_converged"], fields["reference_iterations"]) == ("false", "12")
+    assert fields["rate"] == "skipped=reference"
+    assert not {"qlinear", "rho_estimate", "ratios_checked"} & fields.keys()
+    assert {"delta_j_monotone", "pd", "lambda_hat"} <= fields.keys()
+    if command == "diagnose":
+        rows = trace.read_text().splitlines()
+        assert len(rows) == 13
+        assert all(row.endswith(",") for row in rows)  # no ratio column
 
 
 def test_a_second_main_builds_no_parser(tmp_path, monkeypatch):
@@ -487,12 +517,7 @@ class TestBlockedWriters:
         p = rng.dirichlet(np.ones(4), 100_000)
         labeling = Labeling(probabilities=p, labels=np.argmax(p, axis=1), iterations_used=1,
                             converged=True)
-        tracemalloc.start()
-        try:
-            _write_labels(tmp_path / "labels.csv", labeling)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: _write_labels(tmp_path / "labels.csv", labeling))
         assert peak < 2_000_000, peak
 
     @pytest.mark.parametrize("blocks", [0, 1 / 1024, 1, 2.5],

@@ -1,6 +1,5 @@
 """Hessian blocks, positive definiteness, rate ratios, and descent monitors."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +20,7 @@ from bregman_consensus.diagnostics import (
     quadratic_form_identity,
     render_report,
 )
-from bregman_consensus.divergences import divergence_spec
+from bregman_consensus.divergences import DivergenceSpec, divergence_spec
 from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity
 from bregman_consensus.exceptions import (ArgumentError, DomainError, InsufficientTraceError,
                                          ShapeError, UnsupportedDivergenceError)
@@ -29,7 +28,7 @@ from bregman_consensus.solver import SolverConfig, SolverState, _Problem, run
 
 from conftest import (ALL_TOKENS, LAYOUTS, assemble, grad_objective, interior_points,
                       layout_similarity, pair_block, pairwise_hessian, pointwise_delta_j,
-                      random_instance, random_pi, random_similarity, weights)
+                      random_instance, random_pi, random_similarity, traced_peak, weights)
 
 
 def _state(y_left, y_right):
@@ -396,6 +395,27 @@ def test_monitor_is_bitwise_one_delta_j_per_snapshot(token, n, k, length, block,
             assert str(raised.value) == str(error)
 
 
+@pytest.mark.parametrize("token", ALL_TOKENS)
+def test_monitor_admits_its_reference_once(token, rng, monkeypatch):
+    # the reference was checked up front, then checked and clamped again in every block
+    n, k = 6, 2
+    similarity = random_similarity(rng, n)
+    config = SolverConfig(divergence=divergence_spec(token, k), alpha=0.5, lam=0.1)
+    reference = interior_points(token, rng, n, k)
+    history = [(interior_points(token, rng, n, k), None) for _ in range(9)]
+    checked = []
+    check_domain = DivergenceSpec.check_domain
+
+    def counted(self, p):
+        checked.append(np.shape(p))
+        return check_domain(self, p)
+
+    monkeypatch.setattr(DivergenceSpec, "check_domain", counted)
+    monkeypatch.setattr(diagnostics, "_MONITOR_BLOCK", 2 * n * k)  # two snapshots a block
+    DeltaJMonitor.from_history(reference, history, similarity, config)
+    assert checked == [(n, k)] + [(2, n, k)] * 4 + [(1, n, k)]
+
+
 def test_monitor_memory_does_not_grow_with_the_history(rng):
     # the snapshots go a bounded block at a time: about 7 copies' bytes at
     # the peak here, where stacking all 40 at once peaked at 182
@@ -406,12 +426,8 @@ def test_monitor_memory_does_not_grow_with_the_history(rng):
     reference = interior_points("gen-i", rng, n, k)
     history = [(interior_points("gen-i", rng, n, k), None) for _ in range(40)]
     similarity.operator  # built outside the measurement
-    tracemalloc.start()
-    try:
-        monitor = DeltaJMonitor.from_history(reference, history, similarity, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    monitor, peak = traced_peak(
+        lambda: DeltaJMonitor.from_history(reference, history, similarity, config))
     assert len(monitor.values) == 40
     assert peak < 12 * reference.nbytes, f"peak {peak / reference.nbytes:.1f} copies"
 

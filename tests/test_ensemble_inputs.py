@@ -4,7 +4,6 @@ import math
 import os
 import re
 import tempfile
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,7 +37,7 @@ from bregman_consensus.exceptions import (
 from bregman_consensus.solver import SolverConfig, run
 
 from conftest import (argsort_csr, layout_similarity, partition_similarity, random_similarity,
-                      reduceat_matvec, streamed_read_table)
+                      reduceat_matvec, streamed_read_table, traced_peak)
 
 
 class TestAveraging:
@@ -238,12 +237,7 @@ class TestOperatorBuild:
     def test_build_peak_stays_below_2_25_times_the_stored_arrays(self):
         similarity = _large_graph()
         import scipy.sparse  # noqa: F401  a first import inside the window would count the module
-        tracemalloc.start()
-        try:
-            op = SimilarityOperator(similarity)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        op, peak = traced_peak(lambda: SimilarityOperator(similarity))
         stored = similarity.rows.nbytes + similarity.cols.nbytes + similarity.vals.nbytes
         assert peak < 2.25 * stored, peak / stored
         # int32 indices: both orientations take about the stored arrays' bytes
@@ -337,12 +331,7 @@ class TestFromPairs:
         i, j = i[picked], j[picked]  # random order and orientation
         s = rng.uniform(0.05, 1.0, m)
         s[rng.random(m) < 0.05] = 0.0
-        tracemalloc.start()
-        try:
-            similarity = SimilarityMatrix.from_pairs(n, i, j, s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        similarity, peak = traced_peak(lambda: SimilarityMatrix.from_pairs(n, i, j, s))
         stored = similarity.rows.nbytes + similarity.cols.nbytes + similarity.vals.nbytes
         assert peak < 2 * stored, (peak, stored)
         keep = s != 0.0
@@ -398,12 +387,7 @@ class TestSparsify:
         # the kept pairs reach the constructor read-only and are kept as they
         # are; copied there a second time, the peak was 2.4 times
         similarity = _large_graph()
-        tracemalloc.start()
-        try:
-            out = sparsify(similarity, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: sparsify(similarity, 0.5))
         kept = out.rows.nbytes + out.cols.nbytes + out.vals.nbytes
         assert 0 < out.nnz < similarity.nnz
         assert peak < 1.75 * kept, peak / kept

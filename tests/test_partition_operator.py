@@ -1,19 +1,21 @@
-"""The partition-backed co-association against the dense oracle."""
+"""The partition-backed co-association against the dense and whole-list oracles."""
 
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bregman_consensus import ensemble_inputs
 from bregman_consensus.divergences import divergence_spec
-from bregman_consensus.ensemble_inputs import coassociation_similarity
+from bregman_consensus.ensemble_inputs import SimilarityMatrix, coassociation_similarity, sparsify
 from bregman_consensus.estimator import BregmanConsensus, check_probabilities
 from bregman_consensus.exceptions import ShapeError
 from bregman_consensus.solver import SolverConfig, run
 
-from conftest import ALL_TOKENS, column_loop_matvec, dense_coassociation, random_pi
+from conftest import (ALL_TOKENS, column_loop_matvec, dense_coassociation, enumerated_pairs,
+                      random_pi, traced_peak)
 
 # how one partition column labels its n nodes
 COLUMN_LAYOUTS = ("random", "singletons", "single", "gapped", "negative", "huge")
@@ -192,18 +194,13 @@ def test_fit_at_scale_allocates_nothing_quadratic():
     rng = np.random.default_rng(5)
     parts = rng.integers(0, 10, (n, 5))
     pi = random_pi("gen-i", rng, n, 2)
-    tracemalloc.start()
-    try:
-        model = BregmanConsensus(max_iter=3).fit(pi, coassociation_similarity(parts))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    model, peak = traced_peak(
+        lambda: BregmanConsensus(max_iter=3).fit(pi, coassociation_similarity(parts)))
     assert model.n_iter_ == 3
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_no_compute_path_enumerates_the_pairs(tmp_path, monkeypatch, rng):
-    from bregman_consensus import ensemble_inputs
     from bregman_consensus.cli import main
     from bregman_consensus.diagnostics import hessian_blocks
     from bregman_consensus.solver import lambda_threshold
@@ -213,7 +210,7 @@ def test_no_compute_path_enumerates_the_pairs(tmp_path, monkeypatch, rng):
     assert main(["generate", "--kind", "half-moon", "--n", "40", "--label-fraction", "0.1",
                  "--seed", "2", "--out-dir", str(data)]) == 0
 
-    def enumerate_pairs(clusters):
+    def enumerate_pairs(clusters, threshold):
         raise AssertionError("a partition ensemble's pairs were enumerated")
 
     monkeypatch.setattr(ensemble_inputs, "_coassociation_pairs", enumerate_pairs)
@@ -235,3 +232,98 @@ def test_no_compute_path_enumerates_the_pairs(tmp_path, monkeypatch, rng):
     assert lambda_threshold(pi, similarity, config, model.state_) >= 0.0
     hessian_blocks(model.state_, pi, similarity, config)
     assert "_pairs" not in vars(similarity)
+
+
+def _partitions(layouts, rng, n):
+    parts = np.column_stack([_column(layout, rng, n) for layout in layouts])
+    return coassociation_similarity(parts)
+
+
+def _same_bytes(got, want):
+    for name, a, b in zip(("rows", "cols", "vals"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), r2=st.integers(1, 11), block=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_pairs_match_the_whole_list_oracle(data, n, r2, block, seed):
+    # a budget of a few keys cuts the rows into many blocks, and single rows
+    # with more keys than the budget into blocks of their own
+    layouts = data.draw(st.lists(st.sampled_from(COLUMN_LAYOUTS), min_size=r2, max_size=r2))
+    s = _partitions(layouts, np.random.default_rng(seed), n)
+    with mock.patch.object(ensemble_inputs, "_PAIR_BLOCK", block):
+        got = (s.rows, s.cols, s.vals)
+    _same_bytes(got, enumerated_pairs(s.clusters))
+
+
+@pytest.mark.parametrize("case", ["r2 > 255", "no pairs"])
+def test_blocked_pairs_at_the_edges(case, rng):
+    # 300 partitions, nodes 0 and 1 together in all: a count no longer fits one byte
+    n, r2 = (12, 300) if case == "r2 > 255" else (9, 3)
+    if case == "r2 > 255":
+        parts = rng.integers(0, 2, (n, r2))
+        parts[1] = parts[0]
+    else:
+        parts = np.column_stack([rng.permutation(n) for _ in range(r2)])
+    s = coassociation_similarity(parts)
+    with mock.patch.object(ensemble_inputs, "_PAIR_BLOCK", 5):
+        got = (s.rows, s.cols, s.vals)
+    want = enumerated_pairs(s.clusters)
+    _same_bytes(got, want)
+    assert (want[0].size == 0) == (case == "no pairs")
+    if case == "r2 > 255":
+        assert np.any(want[2] * r2 > 255)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), r2=st.integers(1, 11), block=st.integers(1, 40),
+       where=st.sampled_from(["on", "between", "ulp below", "ulp above"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparsify_on_partitions_lists_only_the_kept_pairs(data, n, r2, block, where, seed):
+    layouts = data.draw(st.lists(st.sampled_from(COLUMN_LAYOUTS), min_size=r2, max_size=r2))
+    s = _partitions(layouts, np.random.default_rng(seed), n)
+    if where == "between":
+        t = (data.draw(st.integers(0, r2 - 1)) + 0.5) / r2
+    else:
+        level = data.draw(st.integers(1, r2)) / r2
+        t = {"on": level, "ulp below": np.nextafter(level, 0.0),
+             "ulp above": min(np.nextafter(level, 2.0), 1.0)}[where]
+    with mock.patch.object(ensemble_inputs, "_PAIR_BLOCK", block):
+        got = sparsify(s, t)
+    want = sparsify(SimilarityMatrix(n, *enumerated_pairs(s.clusters)), t)
+    assert type(got) is SimilarityMatrix
+    _same_bytes((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals))
+    assert "_pairs" not in vars(s)  # the full list is never cached on the source
+
+
+def _planted_partitions(n, seed):
+    """The benchmark's partition shape: 5 partitions, each splitting 2 classes into 3
+    clusters apiece, with a tenth of the nodes moved to another of the 6 clusters."""
+    rng = np.random.default_rng(seed)
+    truth = np.arange(n) % 2
+    parts = []
+    for _ in range(5):
+        col = truth * 3 + rng.permutation(n) % 3
+        moved = rng.choice(n, size=n // 10, replace=False)
+        col[moved] = (col[moved] + rng.integers(1, 6, moved.size)) % 6
+        parts.append(col)
+    return np.column_stack(parts)
+
+
+def test_reading_the_pairs_peaks_below_1_5_times_their_bytes():
+    # listing every partition's pairs before one np.unique peaked at 2.97 times
+    s = coassociation_similarity(_planted_partitions(1200, seed=1))
+    _, peak = traced_peak(lambda: s.rows)
+    held = s.rows.nbytes + s.cols.nbytes + s.vals.nbytes
+    assert peak < 1.5 * held, peak / held
+
+
+def test_sparsify_on_partitions_peaks_below_twice_the_kept_bytes():
+    # the whole pair list was enumerated and kept first: 18.8 times here
+    s = coassociation_similarity(_planted_partitions(4000, seed=1))
+    out, peak = traced_peak(lambda: sparsify(s, 0.5))
+    kept = out.rows.nbytes + out.cols.nbytes + out.vals.nbytes
+    assert out.nnz > 4 * ensemble_inputs._PAIR_BLOCK  # the budget is small beside them
+    assert peak < 2 * kept, peak / kept
+    assert "_pairs" not in vars(s)

@@ -33,6 +33,7 @@ from bregman_consensus.solver import (
 
 from conftest import (
     ALL_TOKENS,
+    CheckedProblem,
     checked_lambda_threshold,
     checked_run,
     doubling_minimize_j0,
@@ -580,6 +581,31 @@ def test_minimize_j0_matches_fd_oracle(rng):
     b = fd_projected_gradient_j0(pi, s, cfg)
     np.testing.assert_allclose(a, b, atol=2e-5)
     assert objective_j0(a, pi, s, cfg) <= objective_j0(b, pi, s, cfg) + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.sampled_from(ALL_TOKENS), n=st.integers(2, 59), k=st.integers(1, 4),
+       alpha=weights, partitions=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_grad_j0_is_one_product_with_the_bits_of_two(token, n, k, alpha, partitions, seed):
+    # S G and S Y were two products; one of [G, Y] sums each column in the same order
+    rng = np.random.default_rng(seed)
+    pi, s, cfg = random_instance(token, rng, n, k, alpha=alpha)
+    if partitions:
+        s = partition_similarity(rng, n)
+    problem = _Problem(pi, s, cfg)
+    Y = interior_points(token, rng, n, k)
+    widths = []
+    matvec = problem.op.matvec
+
+    def counted(Z):
+        widths.append(Z.shape[1])
+        return matvec(Z)
+
+    problem.op.matvec = counted
+    got = problem.grad_j0(Y)
+    assert widths == ([2 * k] if alpha > 0.0 else [])
+    del problem.op.matvec
+    assert got.tobytes() == CheckedProblem(pi, s, cfg).grad_j0(Y).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
