@@ -25,6 +25,18 @@ with an absent (zero) diagonal and is read by the solver only through its
   bounded block of rows at a time (``_PAIR_BLOCK`` raw keys), so the
   enumeration holds the arrays it returns plus a few MB of working space.
 
+Stored pairs are admitted in one place, :func:`_canonical_pairs`, whichever
+way they arrive: the constructor, ``from_pairs``, ``from_dense``, ``empty``
+and the triplet loader all go through it, so they accept the same pairs,
+store the same bytes and reject the same input.  Indices must be integers in [0, n)
+with i != j and values in [0, 1]; a pair given twice in either orientation
+is an error even when one of its weights is 0, and zero weights are
+dropped after that check.  The row-major pair keys are sorted at most once,
+and not at all when they arrive ascending.  The constructor adds its
+stricter contract (i < j, values in (0, 1]) in front.  Pairs the package
+lists canonical itself (``sparsify``, the co-association enumeration) are
+kept as they are, with no second check.
+
 Data files share one comma-separated grammar: a leading UTF-8 byte-order
 mark is ignored, blank and whitespace-only lines are skipped, the first
 nonblank line is a header when its first field is not a number, and every
@@ -42,6 +54,7 @@ arrays to Python numbers a block of rows at a time.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,13 +76,13 @@ class SimilarityMatrix:
 
     Entries are in (0, 1]; pairs that never co-occur are simply absent and
     read as 0.  The diagonal is never stored, and each unordered pair at most
-    once.  The arrays are read-only, so the :attr:`operator` built from them
-    on first use stays valid for the matrix's lifetime.  Input arrays are
-    copied into row-major order, except arrays already in that order that
-    are read-only and own their memory, which no one can change: those are
-    kept as given.  :class:`PartitionSimilarity` keeps a partition ensemble
-    instead.  Equality and hashing are by identity, as for any container
-    that caches an operator.
+    once.  The constructor takes integer indices with i < j and values in
+    (0, 1], in any order, and stores new read-only arrays in row-major order
+    (see :func:`_canonical_pairs`), so the :attr:`operator` built from them
+    on first use stays valid for the matrix's lifetime.
+    :class:`PartitionSimilarity` keeps a partition ensemble instead.
+    Equality and hashing are by identity, as for any container that caches
+    an operator.
     """
 
     n: int
@@ -78,30 +91,22 @@ class SimilarityMatrix:
     vals: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.int64))
-        cols = np.ascontiguousarray(np.asarray(self.cols, dtype=np.int64))
-        vals = np.ascontiguousarray(np.asarray(self.vals, dtype=np.float64))
-        if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
-            raise ShapeError("rows, cols and vals must be equal-length 1-D arrays")
-        if rows.size:
-            if rows.min() < 0 or cols.max() >= self.n:
-                raise ShapeError(f"indices out of range for n={self.n}")
-            if np.any(rows >= cols):
-                raise ShapeError("triplets must satisfy i < j (no diagonal)")
-            if not np.all((vals > 0.0) & (vals <= 1.0)):  # NaN fails both comparisons
-                raise RangeError("similarity values must lie in (0, 1]")
-        key = _pair_key(rows, cols, self.n)
-        if not np.all(key[1:] > key[:-1]):
-            order = np.argsort(key)  # keys are unique unless a pair repeats, rejected below
-            del key
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if np.any(same):
-                p = int(np.argmax(same))
-                raise ShapeError(f"pair ({rows[p]}, {cols[p]}) is stored more than once "
-                                 "(duplicate or mirrored)")
-        elif not all(a.flags.owndata and not a.flags.writeable for a in (rows, cols, vals)):
-            rows, cols, vals = rows.copy(), cols.copy(), vals.copy()
+        rows, cols, vals = _pair_arrays(self.rows, self.cols, self.vals)
+        if np.any(rows >= cols):
+            raise ShapeError("triplets must satisfy i < j (no diagonal)")
+        if not np.all(vals > 0.0):  # NaN fails too
+            raise RangeError("similarity values must lie in (0, 1]")
+        self._hold(*_canonical_pairs(self.n, rows, cols, vals, _raise))
+
+    @classmethod
+    def _from_canonical(cls, n, rows, cols, vals) -> "SimilarityMatrix":
+        """Keep new arrays that are canonical already as given, with no check."""
+        similarity = object.__new__(cls)
+        object.__setattr__(similarity, "n", n)
+        similarity._hold(rows, cols, vals)
+        return similarity
+
+    def _hold(self, rows, cols, vals):
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -112,50 +117,28 @@ class SimilarityMatrix:
 
     @classmethod
     def empty(cls, n: int) -> "SimilarityMatrix":
-        z = np.zeros(0)
-        return cls(n, z.astype(np.int64), z.astype(np.int64), z)
+        return cls.from_pairs(n, [], [], [])
 
     @classmethod
     def from_pairs(cls, n, i, j, s) -> "SimilarityMatrix":
-        """Build from arbitrary (i, j, s) pairs; orientation is canonicalized.
+        """Build from (i, j, s) pairs in any order and orientation.
 
-        Zero weights are dropped.  The pairs are sorted here, as one key per
-        pair, and handed over read-only, so the constructor keeps them
-        without a copy and the transient peak stays below twice the stored
-        arrays.
+        Indices are integers in [0, n) with i != j and s lies in [0, 1]; a
+        pair given twice, in either orientation and with any weights, is
+        rejected, and then zero weights are dropped (:func:`_canonical_pairs`).
         """
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        s = np.asarray(s, dtype=np.float64)
-        if not (i.shape == j.shape == s.shape) or i.ndim != 1:
-            raise ShapeError("rows, cols and vals must be equal-length 1-D arrays")
-        if np.any(i == j):
-            raise ShapeError("diagonal similarity entries are not allowed")
-        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
-            raise ShapeError(f"indices out of range for n={n}")
-        key = _pair_key(np.minimum(i, j), np.maximum(i, j), n)
-        keep = s != 0.0
-        if not keep.all():
-            key, s = key[keep], s[keep]
-        order = np.argsort(key)  # keys are unique unless a pair repeats, rejected below
-        key, s = key[order], s[order]
-        del order
-        rows, cols = np.divmod(key, max(n, 1))
-        del key
-        return cls(n, *_read_only(rows, cols, s))
+        return cls._from_canonical(n, *_canonical_pairs(n, i, j, s, _raise))
 
     @classmethod
     def from_dense(cls, a) -> "SimilarityMatrix":
-        """Build from a dense symmetric array; zero entries are dropped."""
+        """Build from a dense symmetric array's upper triangle; zero entries are dropped."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-        if not np.allclose(a, a.T, atol=1e-12):
+        if not np.allclose(a, a.T, atol=1e-12, equal_nan=True):  # NaN is a bad value
             raise ShapeError("similarity matrix must be symmetric")
         iu, ju = np.triu_indices(a.shape[0], k=1)
-        vals = a[iu, ju]
-        keep = vals != 0.0
-        return cls(a.shape[0], *_read_only(iu[keep], ju[keep], vals[keep]))
+        return cls.from_pairs(a.shape[0], iu, ju, a[iu, ju])
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -202,20 +185,21 @@ class PartitionSimilarity(SimilarityMatrix):
         object.__setattr__(self, "clusters", clusters)
 
     @cached_property
-    def _pairs(self):
-        return _read_only(*_coassociation_pairs(self.clusters, 0.0))
+    def _pairs(self) -> SimilarityMatrix:
+        return SimilarityMatrix._from_canonical(
+            self.n, *_coassociation_pairs(self.clusters, 0.0))
 
     @property
     def rows(self) -> np.ndarray:
-        return self._pairs[0]
+        return self._pairs.rows
 
     @property
     def cols(self) -> np.ndarray:
-        return self._pairs[1]
+        return self._pairs.cols
 
     @property
     def vals(self) -> np.ndarray:
-        return self._pairs[2]
+        return self._pairs.vals
 
     @cached_property
     def operator(self) -> "PartitionOperator":
@@ -386,37 +370,78 @@ def _coassociation_pairs(clusters: np.ndarray, threshold: float):
     return rows, cols, np.concatenate(counts) / r2
 
 
-def _read_only(*arrays):
-    """The arrays, read-only: the SimilarityMatrix constructor keeps owned ones as given."""
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+def _pair_arrays(i, j, s):
+    """(i, j, s) as int64, int64 and float64 arrays of one length, or ``ShapeError``."""
+    i, j, s = np.asarray(i), np.asarray(j), np.asarray(s, dtype=np.float64)
+    if not (i.shape == j.shape == s.shape) or i.ndim != 1:
+        raise ShapeError("rows, cols and vals must be equal-length 1-D arrays")
+    return _indices(i), _indices(j), s
 
 
-def _pair_key(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """One integer per (row, col) pair of indices below ``n``, ordered row-major."""
-    key = rows * n
-    key += cols  # in place: the key arrays are as long as the similarity
-    return key
+def _indices(a: np.ndarray) -> np.ndarray:
+    """Integer or integral float indices as int64 (an empty list reads as floats).
 
-
-def _first_repeat(lo: np.ndarray, hi: np.ndarray):
-    """Position of the first pair equal to an earlier one, or None.
-
-    ``hi`` is shifted to start at 0 before keying.  Strictly ascending keys,
-    as a sorted file gives, hold no repeat; otherwise a stable sort of the
-    keys puts every repeat after the earlier occurrences of its pair.
+    Strings, booleans and fractions raise ``ShapeError``.
     """
-    if lo.size < 2:
-        return None
-    offset = hi - hi.min()
-    key = _pair_key(lo, offset, int(offset.max()) + 1)
-    if np.all(key[1:] > key[:-1]):
-        return None
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
-    return int(repeats.min()) if repeats.size else None
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # nan, inf and out-of-range values cast to junk
+            whole = a.astype(np.int64)
+        if np.array_equal(whole, a):
+            return whole
+    raise ShapeError("indices must be integers")
+
+
+def _raise(position, error, message):
+    raise error(message)
+
+
+def _canonical_pairs(n, i, j, s, reject):
+    """Admit stored pairs: new (rows, cols, vals) in row-major order, i < j and s > 0.
+
+    Indices that are not integers raise ``ShapeError``.  The other rules,
+    in this order: indices in [0, n), i != j, values in [0, 1], and no
+    unordered pair twice, whatever its weights; only then are zero weights
+    dropped.  The first pair that breaks a rule is reported by
+    ``reject(position, error, message)``, which must raise.  The keys
+    ``lo * n + hi`` are sorted by one ``np.argsort``, only when they are not
+    ascending, and rows and columns are read back from them.
+    """
+    if not isinstance(n, numbers.Integral) or n < 0:  # a float n makes float keys
+        raise ShapeError(f"n must be a nonnegative integer, got {n!r}")
+    n = int(n)  # so does a numpy unsigned one
+    i, j, s = _pair_arrays(i, j, s)
+
+    def check(bad, error, message):
+        if bad.any():
+            reject(int(np.argmax(bad)), error, message)
+
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    check((lo < 0) | (hi >= n), ShapeError, f"index out of range for n={n}")
+    check(lo == hi, ShapeError, "diagonal similarity entries are not allowed")
+    check(~((s >= 0.0) & (s <= 1.0)), RangeError,  # NaN fails both comparisons
+          "similarity values must lie in (0, 1], or be 0 to leave the pair out")
+    key = lo
+    key *= n
+    key += hi  # in place: the key arrays are as long as the input
+    del lo, hi  # the unsorted keys are freed once key is rebound
+    if not np.all(key[1:] > key[:-1]):  # strictly ascending keys hold no repeat
+        order = np.argsort(key)
+        key, s = key[order], s[order]
+        same = key[1:] == key[:-1]
+        if same.any():  # a repeat is any position after the first of its pair
+            first = np.concatenate(([True], ~same))
+            earliest = np.minimum.reduceat(order, np.flatnonzero(first))
+            p = int(order[order > earliest[np.cumsum(first) - 1]].min())
+            reject(p, ShapeError, f"pair ({min(i[p], j[p])}, {max(i[p], j[p])}) is given "
+                                  "more than once (repeated or mirrored)")
+        del order
+    keep = s != 0.0
+    key, s = key[keep], s[keep]
+    del keep
+    rows, cols = np.divmod(key, max(n, 1))
+    return rows, cols, s
 
 
 def average_class_probabilities(outputs, domain_floor: float = 1e-12) -> np.ndarray:
@@ -501,11 +526,11 @@ def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix
     if threshold == 0.0:
         return similarity
     if isinstance(similarity, PartitionSimilarity):  # list the kept pairs only
-        return SimilarityMatrix(similarity.n, *_read_only(
-            *_coassociation_pairs(similarity.clusters, threshold)))
-    keep = similarity.vals >= threshold
-    return SimilarityMatrix(similarity.n, *_read_only(
-        similarity.rows[keep], similarity.cols[keep], similarity.vals[keep]))
+        pairs = _coassociation_pairs(similarity.clusters, threshold)
+    else:
+        keep = similarity.vals >= threshold
+        pairs = similarity.rows[keep], similarity.cols[keep], similarity.vals[keep]
+    return SimilarityMatrix._from_canonical(similarity.n, *pairs)
 
 
 # -- file ingestion ---------------------------------------------------------
@@ -514,8 +539,8 @@ def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix
 # parse rejects, has its data lines streamed to the same parser one Python
 # string at a time, with the same result.  numpy reads a whitespace-only line
 # as a one-field row, so a file holding one goes to the stream.  Each loader
-# then checks its own rules on the array; the line of a rejected row is found
-# by re-reading the file.
+# then checks its rules on the array (the triplet loader through
+# _canonical_pairs); the line of a rejected row is found by re-reading the file.
 
 # numpy's open decompresses by these suffixes; such names are streamed
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -623,9 +648,11 @@ def load_partitions_csv(path) -> np.ndarray:
 def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     """Read ``i,j,s`` triplet lines into a :class:`SimilarityMatrix`.
 
-    Indices are integers in ``[0, n)`` with ``i != j`` and ``s`` lies in
-    ``[0, 1]``; a pair listed twice, in either orientation, is rejected at
-    its second line.
+    The rows are admitted as :meth:`SimilarityMatrix.from_pairs` admits
+    pairs: indices are integers in ``[0, n)`` with ``i != j``, ``s`` lies in
+    ``[0, 1]``, and a pair listed twice, in either orientation and even
+    with a zero weight, is rejected at its second line.  A broken rule is
+    named at the first line that breaks it.
     """
     table = _read_table(path)
     if not table.size:
@@ -633,17 +660,10 @@ def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     if table.shape[1] != 3:
         _reject_row(path, 0, f"expected 'i,j,s', got {table.shape[1]} fields")
     ij = _integers(path, table[:, :2], "indices")
-    i, j, vals = ij[:, 0], ij[:, 1], table[:, 2]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    n = int(hi.max()) + 1 if n is None else n
-    _reject_rows(path, (lo < 0) | (hi >= n), f"index outside [0, {n})")
-    _reject_rows(path, i == j, "diagonal entries are not allowed")
-    _reject_rows(path, ~((vals >= 0.0) & (vals <= 1.0)), "similarity outside [0, 1]")
-    second = _first_repeat(lo, hi)
-    if second is not None:
-        _reject_row(path, second, f"pair ({lo[second]}, {hi[second]}) repeats an earlier line")
-    keep = vals != 0.0  # zero weights are not stored
-    return SimilarityMatrix(n, *_read_only(lo[keep], hi[keep], vals[keep]))
+    n = max(int(ij.max()) + 1, 0) if n is None else n  # all negative: the range check names it
+    return SimilarityMatrix._from_canonical(n, *_canonical_pairs(
+        n, ij[:, 0], ij[:, 1], table[:, 2],
+        lambda row, error, message: _reject_row(path, row, message)))
 
 
 def load_labels(path) -> np.ndarray:

@@ -125,6 +125,39 @@ def enumerated_pairs(clusters):
     return rows, cols, count / r2
 
 
+def admitted_pairs(n, pairs):
+    """What every entry of stored pairs makes of ``(i, j, s)`` tuples, by plain loops.
+
+    Returns ``((rows, cols, vals), None)``, the pairs with i < j in row-major
+    order and zero weights dropped, or ``(None, (error, position))`` for the
+    first tuple that breaks the first rule broken.  The rules, in order:
+    integer indices, indices in [0, n), i != j, s in [0, 1], and no
+    unordered pair twice, whatever its weights.
+    """
+    from bregman_consensus.exceptions import RangeError, ShapeError
+
+    rules = (
+        (ShapeError, lambda i, j, s: float(i).is_integer() and float(j).is_integer()),
+        (ShapeError, lambda i, j, s: 0 <= min(i, j) and max(i, j) < n),
+        (ShapeError, lambda i, j, s: i != j),
+        (RangeError, lambda i, j, s: 0.0 <= s <= 1.0),
+    )
+    for error, holds in rules:
+        for position, (i, j, s) in enumerate(pairs):
+            if not holds(i, j, s):
+                return None, (error, position)
+    seen = set()
+    for position, (i, j, s) in enumerate(pairs):
+        pair = (int(min(i, j)), int(max(i, j)))
+        if pair in seen:
+            return None, (ShapeError, position)
+        seen.add(pair)
+    kept = sorted((int(min(i, j)), int(max(i, j)), float(s)) for i, j, s in pairs if s != 0.0)
+    rows = np.array([a for a, _, _ in kept], dtype=np.int64)
+    cols = np.array([b for _, b, _ in kept], dtype=np.int64)
+    return (rows, cols, np.array([s for _, _, s in kept], dtype=np.float64)), None
+
+
 def dense_coassociation(partitions):
     """The co-association built as a dense n-by-n count, stored as pairs.
 

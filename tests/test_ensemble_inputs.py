@@ -16,6 +16,7 @@ from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import (
     SimilarityMatrix,
     SimilarityOperator,
+    array_rows,
     average_class_probabilities,
     coassociation_similarity,
     load_labels,
@@ -36,8 +37,8 @@ from bregman_consensus.exceptions import (
 )
 from bregman_consensus.solver import SolverConfig, run
 
-from conftest import (argsort_csr, layout_similarity, partition_similarity, random_similarity,
-                      reduceat_matvec, streamed_read_table, traced_peak)
+from conftest import (admitted_pairs, argsort_csr, layout_similarity, partition_similarity,
+                      random_similarity, reduceat_matvec, streamed_read_table, traced_peak)
 
 
 class TestAveraging:
@@ -354,6 +355,176 @@ class TestFromPairs:
         for mine, stored in ((rows, s.rows), (cols, s.cols), (vals, s.vals)):
             assert mine.flags.writeable and not stored.flags.writeable
             assert not np.shares_memory(mine, stored)
+
+
+@st.composite
+def pair_lists(draw, n):
+    """``(i, j, s)`` tuples on n nodes: distinct pairs in any order and orientation,
+    some indices as integral floats and some weights 0, then up to two faults
+    inserted anywhere: a repeat (mirrored or not, any weight), a diagonal pair,
+    an index outside [0, n), a fractional index or a weight outside [0, 1].
+    """
+    node = st.integers(0, max(n - 1, 0))
+    index = st.one_of(node, node, node.map(float))
+    weight = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0]))
+    pairs = []
+    if n >= 2:
+        pair = st.tuples(index, index, weight).filter(lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=8, unique_by=lambda p: (min(p[:2]), max(p[:2]))))
+    for fault in draw(st.lists(st.sampled_from(["repeat", "diagonal", "range", "fraction",
+                                                "value"]), max_size=2)):
+        i, j, s = draw(index), draw(index), draw(weight)
+        if fault == "repeat" and pairs:
+            i, j, _ = draw(st.sampled_from(pairs))
+            i, j = draw(st.permutations([i, j]))
+        elif fault == "diagonal":
+            j = i
+        elif fault == "range":
+            i = draw(st.sampled_from([-1, n, n + 3]))
+        elif fault == "fraction":
+            i = i + 0.5
+        elif fault == "value":
+            s = draw(st.sampled_from([-0.25, 1.5, math.inf, math.nan]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (i, j, s))
+    return pairs
+
+
+class TestAdmission:
+    """Every entry of stored pairs admits them alike (``_canonical_pairs``)."""
+
+    @pytest.mark.parametrize("build", ["constructor", "from_pairs"])
+    @pytest.mark.parametrize("i, j", [([0.7], [1.9]), (["0"], ["1"]), ([True], [False])],
+                             ids=["fractions", "strings", "booleans"])
+    def test_rejects_non_integer_indices(self, build, i, j):
+        # each was stored as the pair (0, 1)
+        make = SimilarityMatrix if build == "constructor" else SimilarityMatrix.from_pairs
+        with pytest.raises(ShapeError, match="indices must be integers"):
+            make(3, i, j, [0.5])
+
+    @pytest.mark.parametrize("n", [3.0, -1])
+    def test_rejects_an_n_that_is_not_a_count(self, n):
+        # it was kept, and the operator build then raised a bare TypeError or ValueError
+        for make, pairs in ((SimilarityMatrix, ([0], [1], [0.5])),
+                            (SimilarityMatrix.from_pairs, ([], [], [])),
+                            (SimilarityMatrix.empty, ())):
+            with pytest.raises(ShapeError, match=f"n must be a nonnegative integer, got {n}"):
+                make(n, *pairs)
+
+    def test_an_all_negative_file_names_its_line_without_n(self, tmp_path):
+        path = tmp_path / "sim.csv"
+        path.write_text("-5,-3,0.5\n")
+        with pytest.raises(InputFormatError, match="out of range") as err:
+            load_similarity_triplets(path)
+        assert err.value.line_no == 1
+
+    def test_a_numpy_unsigned_n_is_a_count(self):
+        assert SimilarityMatrix.from_pairs(np.uint64(3), [1], [0], [0.5]).rows.tolist() == [0]
+
+    def test_integral_float_indices_are_integers(self):
+        got = SimilarityMatrix.from_pairs(4, [2.0, 0.0], [3.0, 1.0], [0.5, 0.25])
+        assert got.rows.tolist() == [0, 2] and got.cols.tolist() == [1, 3]
+
+    @pytest.mark.parametrize("i, j, s", [([0, 0], [1, 1], [0.5, 0.0]),
+                                         ([0, 1], [1, 0], [0.0, 0.5]),
+                                         ([2, 0, 1], [1, 1, 2], [0.0, 0.5, 0.0])],
+                             ids=["repeated", "mirrored", "both-zero"])
+    def test_a_repeat_with_a_zero_weight_is_a_repeat(self, tmp_path, i, j, s):
+        # from_pairs dropped the zero weight first and kept one pair; the loader rejected
+        with pytest.raises(ShapeError, match="more than once"):
+            SimilarityMatrix.from_pairs(3, i, j, s)
+        path = tmp_path / "sim.csv"
+        save_matrix_csv(path, array_rows(np.array(i), np.array(j), np.array(s)))
+        with pytest.raises(InputFormatError, match="more than once") as err:
+            load_similarity_triplets(path)
+        assert err.value.line_no == len(i)  # the repeat is the last line
+
+    def test_from_dense_names_nan_as_a_bad_value(self):
+        # it was named an asymmetry: NaN never compares equal to its mirror
+        with pytest.raises(RangeError, match=re.escape("must lie in (0, 1]")):
+            SimilarityMatrix.from_dense([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(ShapeError, match="symmetric"):
+            SimilarityMatrix.from_dense([[0.0, np.nan], [0.5, 0.0]])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 9))
+    def test_every_entry_admits_the_same_pairs(self, data, n):
+        pairs = data.draw(pair_lists(n))
+        want, rejected = admitted_pairs(n, pairs)
+        i, j, s = (list(column) for column in zip(*pairs)) if pairs else ([], [], [])
+        entries = {"from_pairs": lambda: SimilarityMatrix.from_pairs(n, i, j, s)}
+        if all(a < b and v > 0.0 for a, b, v in pairs):  # the constructor's contract
+            entries["constructor"] = lambda: SimilarityMatrix(n, i, j, s)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "sim.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{a!r},{b!r},{v!r}\n" for a, b, v in pairs)
+            if rejected is None:
+                got = load_similarity_triplets(path, n=n)
+            else:
+                with pytest.raises(InputFormatError) as err:
+                    load_similarity_triplets(path, n=n)
+                assert err.value.line_no == rejected[1] + 1, pairs
+        if rejected is None:
+            assert got.n == n
+            for entry in [got] + [build() for build in entries.values()]:
+                for a, b in zip((entry.rows, entry.cols, entry.vals), want):
+                    assert _same_bits(a, b), pairs
+        else:
+            for build in entries.values():
+                with pytest.raises(rejected[0]):
+                    build()
+
+    @staticmethod
+    def _argsort_spy(monkeypatch):
+        spy = mock.Mock(side_effect=np.argsort)
+        monkeypatch.setattr(np, "argsort", spy)
+        return spy
+
+    @pytest.mark.parametrize("entry", ["constructor", "from_pairs", "loader"])
+    @pytest.mark.parametrize("shuffled, sorts", [(True, 1), (False, 0)],
+                             ids=["unsorted", "sorted"])
+    def test_each_entry_sorts_at_most_once(self, tmp_path, monkeypatch, entry, shuffled, sorts):
+        # the loader sorted twice: once to find repeats, once in the constructor
+        s = random_similarity(np.random.default_rng(18), 60)
+        order = np.random.default_rng(19).permutation(s.nnz) if shuffled else np.arange(s.nnz)
+        rows, cols, vals = s.rows[order], s.cols[order], s.vals[order]
+        path = tmp_path / "sim.csv"
+        save_matrix_csv(path, array_rows(cols, rows, vals))  # mirrored
+        build = {"constructor": lambda: SimilarityMatrix(60, rows, cols, vals),
+                 "from_pairs": lambda: SimilarityMatrix.from_pairs(60, cols, rows, vals),
+                 "loader": lambda: load_similarity_triplets(path, n=60)}[entry]
+        spy = self._argsort_spy(monkeypatch)
+        got = build()
+        assert spy.call_count == sorts
+        for a, b in ((got.rows, s.rows), (got.cols, s.cols), (got.vals, s.vals)):
+            assert _same_bits(a, b) and not a.flags.writeable
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+    def test_loading_peaks_below_3_25_times_the_stored_arrays(self, tmp_path, shuffled):
+        # the loader and then the constructor each checked and keyed the rows: 3.77 and 4.84 times
+        rng = np.random.default_rng(40)
+        n, m = 20_000, 60_000
+        key = np.unique(rng.integers(0, n * n, 2 * m))
+        key = key[key // n < key % n][:m]
+        if shuffled:
+            key = rng.permutation(key)
+        path = tmp_path / "sim.csv"
+        save_matrix_csv(path, array_rows(key // n, key % n, rng.uniform(0.05, 1.0, key.size)))
+        similarity, peak = traced_peak(lambda: load_similarity_triplets(path, n=n))
+        stored = similarity.rows.nbytes + similarity.cols.nbytes + similarity.vals.nbytes
+        assert similarity.nnz == key.size
+        assert peak < 3.25 * stored, peak / stored
+
+    def test_pairs_listed_canonical_are_not_sorted_again(self, monkeypatch):
+        s = random_similarity(np.random.default_rng(18), 60)
+        dense = s.to_dense()
+        spy = self._argsort_spy(monkeypatch)
+        kept = sparsify(s, 0.5)
+        again = SimilarityMatrix.from_dense(dense)
+        assert SimilarityMatrix.empty(4).nnz == 0
+        assert spy.call_count == 0
+        assert 0 < kept.nnz < s.nnz and not kept.rows.flags.writeable
+        assert _same_bits(again.rows, s.rows) and _same_bits(again.vals, s.vals)
 
 
 class TestSparsify:
