@@ -174,7 +174,8 @@ class DivergenceSpec:
     domain_floor : float
         Clamping epsilon for bounded domains; log-based coordinates are
         clamped to at least this value (and to at most ``1 - domain_floor``
-        for the logistic kind) before evaluation.
+        for the logistic kind) before evaluation; in (0, 0.5) or ``ValueError``,
+        and for ``kl`` below ``1 / dimension`` or ``DomainError``.
     """
 
     kind: DivergenceKind
@@ -188,6 +189,9 @@ class DivergenceSpec:
             raise ShapeError(f"dimension must be positive, got {self.dimension}")
         if not 0.0 < self.domain_floor < 0.5:
             raise ValueError(f"domain_floor must lie in (0, 0.5), got {self.domain_floor}")
+        if self._rule.simplex and self.dimension * self.domain_floor >= 1.0:
+            raise DomainError(f"kl: domain_floor={self.domain_floor!r} leaves no room on the "
+                              f"simplex in k={self.dimension} dimensions (needs k * floor < 1)")
 
     def __reduce__(self):  # the resolved rule holds lambdas: pickle the fields, resolve again
         return DivergenceSpec, (self.kind, self.dimension, self.domain_floor)

@@ -131,10 +131,18 @@ class SimilarityMatrix:
 
     @classmethod
     def from_dense(cls, a) -> "SimilarityMatrix":
-        """Build from a dense symmetric array's upper triangle; zero entries are dropped."""
+        """Build from a dense symmetric array's upper triangle; zero entries are dropped.
+
+        A diagonal entry outside [0, 1] (NaN and inf too) raises ``RangeError``;
+        valid ones, such as a unit self-similarity, are ignored.
+        """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+        bad = np.flatnonzero(~((np.diagonal(a) >= 0.0) & (np.diagonal(a) <= 1.0)))  # NaN too
+        if bad.size:
+            raise RangeError(f"diagonal entry ({bad[0]}, {bad[0]}) is {float(a[bad[0], bad[0]])!r};"
+                             " it must be finite and lie in [0, 1]")
         if not np.allclose(a, a.T, atol=1e-12, equal_nan=True):  # NaN is a bad value
             raise ShapeError("similarity matrix must be symmetric")
         iu, ju = np.triu_indices(a.shape[0], k=1)

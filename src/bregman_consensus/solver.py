@@ -89,12 +89,12 @@ import numpy as np
 from .divergences import SIMPLEX_ATOL, DivergenceSpec, validate_probabilities
 from .ensemble_inputs import SimilarityMatrix
 from .exceptions import (ArgumentError, DivisionDegenerateError, DomainError,
-                         NonFiniteObjectiveError, ShapeError)
+                         NonFiniteObjectiveError, RangeError, ShapeError)
 
 _TRACE_GUARD = 1e-300  # denominator guard for the relative objective test
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal weight the sweeps accept
 _J0_MAX_ITERS = 20000  # iteration cap of minimize_j0
-_J0_TOL = 1e-12  # minimize_j0 stops at a trial move below this; not its accuracy (~1e-8)
+_J0_TOL = 1e-12  # minimize_j0 stops at a trial that moves less and does not lower J0
 
 
 @dataclass
@@ -218,22 +218,25 @@ class _Problem:
         """All left copies at once, plus ``S grad phi(yr)`` for the objective.
 
         An inactive row's dual is patched to its own ``grad phi(yr_i)``,
-        which lies in the gradient range, before the inverse; its old copy is
-        put back after.  The public gradient inverse makes no domain scan: it
-        checks the dual only where the gradient range is bounded (``RangeError``)
-        and clamps its output once.
+        which lies in the gradient range, before :meth:`primal`; its old copy
+        is put back after.
         """
         nbr = self.op.matvec(grad_right)
         dual = (self.alpha * nbr + self.lam * grad_right) / self.left_denom
         inactive = self.inactive
         if inactive.size:
             dual[inactive] = grad_right[inactive]
-        updated = self.spec.grad_inv(dual)
-        if self.spec.simplex_domain:
-            updated /= (updated @ self.ones)[:, None]
+        updated = self.primal(dual)
         if inactive.size:
             updated[inactive] = y_left[inactive]
         return updated, nbr
+
+    def primal(self, dual):
+        """The clamped point whose gradient is ``dual``; for ``kl``, rows over their sums."""
+        point = self.spec.grad_inv(dual)
+        if self.spec.simplex_domain:
+            point /= (point @ self.ones)[:, None]
+        return point
 
     def objective(self, y_left, y_right, lam=None, grad_right=None, nbr_grad=None):
         """J at the given copies, already clamped; ``lam`` overrides the coupling.
@@ -473,82 +476,66 @@ def prefix(state: SolverState, config: SolverConfig):
 # -- threshold for copy coalescence ------------------------------------------
 
 
-def _project_simplex(v):
-    """Euclidean projection of each row onto the probability simplex."""
-    n, k = v.shape
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, k + 1)
-    cond = u - css / idx > 0
-    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(n), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
-
-
-def _project_domain(Y, spec):
-    """``Y`` clamped, or for ``kl`` its Euclidean projection onto {y >= floor, sum y = 1}.
-
-    That set is ``floor + scale * simplex`` with ``scale = 1 - k * floor``, so
-    the projection maps its own output to itself within rounding.
-    """
-    if spec.simplex_domain:
-        floor = spec.domain_floor
-        scale = 1.0 - spec.dimension * floor
-        if scale <= 0.0:
-            raise DomainError(f"{spec.kind.value}: domain_floor={floor!r} leaves no room on the "
-                              f"simplex in k={spec.dimension} dimensions (needs k * floor < 1)")
-        return floor + scale * _project_simplex((Y - floor) / scale)
-    return spec.clamp(Y)
-
-
 def minimize_j0(pi, similarity, config):
-    """Spectral projected-gradient minimizer of the single-copy objective J0.
+    """Spectral mirror-descent minimizer of the single-copy objective J0.
 
-    The descent starts at pi projected onto the domain.  Each iteration
-    tries the Barzilai-Borwein step ``s's / s'y`` first, with ``s`` the last
-    accepted move and ``y`` the change of the gradient along it, clipped to
-    [1e-10, 1e6]; on the first iteration it tries 1, and when ``s'y <= 0``
-    twice the last accepted step.  The trial is halved until the projected
-    point lowers J0 (plain decrease).  The descent returns the last accepted
-    point once a projected trial moves no coordinate by :data:`_J0_TOL`,
-    before J0 is evaluated there, or after :data:`_J0_MAX_ITERS` iterations;
-    halving gets there because the projection maps its own output to itself
-    within rounding.  That bounds the smallest move tried, not the error:
-    plain decrease ends up comparing J0 values an ulp apart, so the minimizer
-    is fixed only to about 1e-8, where J0 is flat.  The gradient at an
-    accepted point is the next iteration's gradient.
+    From pi, a trial with step ``t`` at ``Y`` maps ``grad phi(Y) - t grad
+    J0(Y)`` back by the left sweep's :meth:`_Problem.primal`, so it stays in
+    the domain (for ``kl``, on the simplex).  ``t`` starts at 1, then at the
+    Barzilai-Borwein step ``s's / s'y`` over the last accepted move (``s``
+    the change of ``grad phi``, ``y`` of J0's gradient), clipped to [1e-10,
+    1e6], or twice the last step when ``s'y <= 0``; it is halved until J0
+    drops, and while the trial leaves the gradient range or overflows.  The
+    descent returns the last accepted point at the first trial that does
+    not lower J0 and lands within :data:`_J0_TOL` of ``Y``'s round trip
+    through the map, or after :data:`_J0_MAX_ITERS` iterations.  J0 is read
+    first: near the floor an itakura-saito trial can move less and still
+    lower J0 a lot.  The minimizer is fixed only to about 1e-8, where plain
+    decrease compares J0 values an ulp apart and J0 is flat.
 
-    Barzilai & Borwein, IMA J. Numer. Anal. 1988; Birgin, Martinez &
-    Raydan, SIAM J. Optim. 2000.  Used by :func:`lambda_threshold` when no
-    minimizer is supplied.
+    Beck & Teboulle, Oper. Res. Lett. 2003; Barzilai & Borwein, IMA J.
+    Numer. Anal. 1988.  Used by :func:`lambda_threshold` when no minimizer
+    is supplied.
     """
     return _minimize_j0(_Problem(pi, similarity, config))
 
 
+def _or_none(fn, arg):
+    """``fn(arg)``, or None where it raises ``RangeError``, overflows or divides by zero."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn(arg)
+    except (RangeError, FloatingPointError):
+        return None
+
+
 def _minimize_j0(problem):
-    spec = problem.spec
-    Y = _project_domain(problem.pi.copy(), spec)
-    value = problem.j0(Y)
-    g = problem.grad_j0(Y)
+    grad_phi, clamp = problem.rule.grad, problem.spec.clamp
+    Y = problem.pi.copy()
+    value, g, dual = problem.j0(Y), problem.grad_j0(Y), grad_phi(Y)
     step = 1.0
     for _ in range(_J0_MAX_ITERS):
+        here = _or_none(problem.primal, dual)  # a zero step; may move Y by more than _J0_TOL
+        if here is None:
+            return Y
         trial = step
-        while True:  # halve until the projected step descends
-            Y_new = _project_domain(Y - trial * g, spec)
-            if float(np.abs(Y_new - Y).max()) < _J0_TOL:
-                return Y
-            v_new = problem.j0(Y_new)
-            if v_new < value:
-                break
+        while True:  # halve until the mirror step descends; a failed one is halved too
+            Y_new = _or_none(problem.primal, dual - trial * g)
+            if Y_new is not None:
+                v_new = _or_none(problem.j0, Y_new)
+                if v_new is not None and v_new < value:
+                    break
+                if float(np.abs(Y_new - here).max()) < _J0_TOL:
+                    return Y
             trial *= 0.5
-        g_new = problem.grad_j0(Y_new)
-        s, y = Y_new - Y, g_new - g
+        g_new, dual_new = problem.grad_j0(Y_new), grad_phi(clamp(Y_new))
+        s, y = dual_new - dual, g_new - g
         sy = float(np.vdot(s, y))
         if sy > 0.0:
             step = min(max(float(np.vdot(s, s)) / sy, 1e-10), 1e6)
         else:
             step = min(trial * 2.0, 1e6)
-        Y, value, g = Y_new, v_new, g_new
+        Y, value, g, dual = Y_new, v_new, g_new, dual_new
     return Y
 
 
@@ -563,7 +550,7 @@ def lambda_threshold(pi, similarity, config, state: SolverState, j0_minimizer=No
         (J0(y*) - J(yl*, yr*; lam=0)) / sum_i d(yl_i, yr_i)
 
     ``j0_minimizer`` may supply y* directly; otherwise :func:`minimize_j0`
-    computes it by spectral projected gradient.  y* is fixed only to about
+    computes it by spectral mirror descent.  y* is fixed only to about
     1e-8, but J0 is flat there, so the result is limited by J0's rounding
     divided by the copy gap: under a permutation of the nodes or a change of
     step rule it moved by about 1e-13 relative on random problems.

@@ -433,21 +433,47 @@ def eq_left_objective(i, y_right, similarity, config):
     return value
 
 
+def project_simplex(v):
+    """Euclidean projection of each row onto the probability simplex."""
+    n, k = v.shape
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, k + 1)
+    cond = u - css / idx > 0
+    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(n), rho] / (rho + 1.0)
+    return np.maximum(v - theta[:, None], 0.0)
+
+
+def project_domain(Y, spec):
+    """``Y`` clamped, or for ``kl`` its Euclidean projection onto {y >= floor, sum y = 1}.
+
+    The Euclidean geometry of the projected-gradient oracles below, not the
+    solver's: that set is ``floor + scale * simplex`` with
+    ``scale = 1 - k * floor``, which the spec keeps positive.
+    """
+    if spec.simplex_domain:
+        floor = spec.domain_floor
+        scale = 1.0 - spec.dimension * floor
+        return floor + scale * project_simplex((Y - floor) / scale)
+    return spec.clamp(Y)
+
+
 def doubling_minimize_j0(pi, similarity, config, max_iters=20000, tol=1e-12):
     """Projected gradient on J0 whose first trial doubles the last accepted step.
 
-    The form ``solver.minimize_j0`` had before its Barzilai-Borwein steps:
-    the same start, projection, plain-decrease backtracking (at most 60
-    halvings) and stopping rule, with a first trial of 1 and then twice the
-    last accepted step, capped at 1e6.  The gradient is recomputed at the
-    top of every iteration.
+    The form ``solver.minimize_j0`` had before its Barzilai-Borwein steps
+    and mirror steps: the start at pi projected by :func:`project_domain`,
+    plain-decrease backtracking (at most 60 halvings) and the stopping rule,
+    with a first trial of 1 and then twice the last accepted step, capped at
+    1e6.  The gradient is recomputed at the top of every iteration.
     """
-    from bregman_consensus.solver import _Problem, _project_domain
+    from bregman_consensus.solver import _Problem
 
     spec = config.divergence
     pi = spec.clamp(np.asarray(pi, dtype=np.float64))
     problem = _Problem(pi, similarity, config)
-    Y = _project_domain(pi.copy(), spec)
+    Y = project_domain(pi.copy(), spec)
     value = problem.objective(Y, Y, lam=0.0)
     step = 1.0
     for _ in range(max_iters):
@@ -455,7 +481,7 @@ def doubling_minimize_j0(pi, similarity, config, max_iters=20000, tol=1e-12):
         improved = False
         trial = step
         for _ in range(60):
-            Y_new = _project_domain(Y - trial * g, spec)
+            Y_new = project_domain(Y - trial * g, spec)
             v_new = problem.objective(Y_new, Y_new, lam=0.0)
             if v_new < value:
                 improved = True
@@ -492,10 +518,10 @@ def fd_projected_gradient_j0(pi, similarity, config, iters=3000):
 
     Fully independent of the solver's analytic gradients; desk-scale only.
     """
-    from bregman_consensus.solver import _project_domain, objective_j0
+    from bregman_consensus.solver import objective_j0
 
     spec = config.divergence
-    Y = _project_domain(np.array(pi, dtype=float), spec)
+    Y = project_domain(np.array(pi, dtype=float), spec)
     h = 1e-7
     value = objective_j0(Y, pi, similarity, config)
     step = 0.5
@@ -510,7 +536,7 @@ def fd_projected_gradient_j0(pi, similarity, config, iters=3000):
         moved = False
         trial = step
         for _ in range(40):
-            Y_new = _project_domain(Y - trial * g, spec)
+            Y_new = project_domain(Y - trial * g, spec)
             v_new = objective_j0(Y_new, pi, similarity, config)
             if v_new < value:
                 moved = True
@@ -527,10 +553,11 @@ class CheckedProblem:
     """The solver's per-problem constants, half-steps and J, all through checked evaluators.
 
     The direct form ``solver.run`` and ``solver.lambda_threshold`` must
-    reproduce bit for bit: each phi, gradient, Hessian diagonal and gradient
-    inverse goes through the public :class:`DivergenceSpec` evaluator, which
-    checks and clamps its argument on every call, and J clamps both copies
-    itself; every sum runs in the solver's order.  J0's gradient takes
+    reproduce bit for bit, J0's mirror descent included: each phi,
+    gradient, Hessian diagonal and gradient inverse goes through the public
+    :class:`DivergenceSpec` evaluator, which checks and clamps its argument
+    on every call, and J clamps both copies itself; every sum runs in the
+    solver's order.  J0's gradient takes
     ``S G`` and ``S Y`` as two products, where the solver makes one.
     """
 
@@ -557,9 +584,7 @@ class CheckedProblem:
         nbr = self.op.matvec(grad_right)
         dual = (self.alpha * nbr + self.lam * grad_right) / self.left_denom
         dual[self.inactive] = grad_right[self.inactive]
-        updated = self.spec.grad_inv(dual)
-        if self.spec.simplex_domain:
-            updated /= (updated @ np.ones(self.spec.dimension))[:, None]
+        updated = self.primal(dual)
         updated[self.inactive] = y_left[self.inactive]
         return updated, nbr
 
@@ -593,31 +618,43 @@ class CheckedProblem:
             grad += self.alpha * H * (self.row_sum * Y - self.op.matvec(Y))
         return grad
 
-    def minimize_j0(self):
-        from bregman_consensus.solver import _J0_MAX_ITERS, _J0_TOL, _project_domain
+    def primal(self, dual):
+        updated = self.spec.grad_inv(dual)
+        if self.spec.simplex_domain:
+            updated /= (updated @ np.ones(self.spec.dimension))[:, None]
+        return updated
 
-        Y = _project_domain(self.pi.copy(), self.spec)
-        value = self.objective(Y, Y, lam=0.0)
-        g = self.grad_j0(Y)
+    def minimize_j0(self):
+        from bregman_consensus.solver import _J0_MAX_ITERS, _J0_TOL, _or_none as or_none
+
+        def j0(Y):
+            return self.objective(Y, Y, lam=0.0)
+
+        Y = self.pi.copy()
+        value, g, dual = j0(Y), self.grad_j0(Y), self.spec.grad(Y)
         step = 1.0
         for _ in range(_J0_MAX_ITERS):
+            here = or_none(self.primal, dual)
+            if here is None:
+                return Y
             trial = step
             while True:
-                Y_new = _project_domain(Y - trial * g, self.spec)
-                if float(np.abs(Y_new - Y).max()) < _J0_TOL:
-                    return Y
-                v_new = self.objective(Y_new, Y_new, lam=0.0)
-                if v_new < value:
-                    break
+                Y_new = or_none(self.primal, dual - trial * g)
+                if Y_new is not None:
+                    v_new = or_none(j0, Y_new)
+                    if v_new is not None and v_new < value:
+                        break
+                    if float(np.abs(Y_new - here).max()) < _J0_TOL:
+                        return Y
                 trial *= 0.5
-            g_new = self.grad_j0(Y_new)
-            s, y = Y_new - Y, g_new - g
+            g_new, dual_new = self.grad_j0(Y_new), self.spec.grad(Y_new)
+            s, y = dual_new - dual, g_new - g
             sy = float(np.vdot(s, y))
             if sy > 0.0:
                 step = min(max(float(np.vdot(s, s)) / sy, 1e-10), 1e6)
             else:
                 step = min(trial * 2.0, 1e6)
-            Y, value, g = Y_new, v_new, g_new
+            Y, value, g, dual = Y_new, v_new, g_new, dual_new
         return Y
 
 

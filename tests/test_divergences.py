@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,24 @@ class TestDomainHandling:
                                              r"logistic, bose-einstein, itakura-saito, "
                                              r"euclidean, kl, gen-i$"):
             build(bad)
+
+
+    @pytest.mark.parametrize("floor", [0.25, 0.3])
+    @pytest.mark.parametrize("build", [
+        lambda floor: divergence_spec("kl", 4, domain_floor=floor),
+        lambda floor: BregmanConsensus(divergence="kl", domain_floor=floor, alpha=0.5).fit(
+            np.full((2, 4), 0.25), SimilarityMatrix.empty(2)),
+    ], ids=["spec", "estimator"])
+    def test_spec_rejects_a_kl_floor_that_leaves_no_simplex(self, floor, build):
+        # only lambda_hat's projection used to raise this: run and fit
+        # accepted the spec and returned probabilities
+        with pytest.raises(DomainError, match=re.escape(
+                f"kl: domain_floor={floor!r} leaves no room on the simplex in k=4 dimensions")):
+            build(floor)
+
+    def test_a_kl_floor_below_one_over_k_is_accepted(self):
+        assert divergence_spec("kl", 4, domain_floor=0.2499).domain_floor == 0.2499
+        assert divergence_spec("gen-i", 4, domain_floor=0.3).domain_floor == 0.3
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)

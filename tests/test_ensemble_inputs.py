@@ -438,6 +438,20 @@ class TestAdmission:
             load_similarity_triplets(path)
         assert err.value.line_no == len(i)  # the repeat is the last line
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 7.0, -3.0, 1.0 + 1e-12])
+    def test_from_dense_checks_its_diagonal(self, value):
+        # the diagonal was never read: a NaN, an inf or a 7.0 there passed
+        dense = np.array([[0.0, 0.5], [0.5, 0.0]])
+        dense[1, 1] = value
+        with pytest.raises(RangeError, match=re.escape(f"diagonal entry (1, 1) is {value!r}")):
+            SimilarityMatrix.from_dense(dense)
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 1.0])
+    def test_from_dense_ignores_a_valid_diagonal(self, value):
+        dense = np.array([[value, 0.5, 0.0], [0.5, value, 0.2], [0.0, 0.2, value]])
+        s = SimilarityMatrix.from_dense(dense)
+        assert (s.rows.tolist(), s.cols.tolist(), s.vals.tolist()) == ([0, 1], [1, 2], [0.5, 0.2])
+
     def test_from_dense_names_nan_as_a_bad_value(self):
         # it was named an asymmetry: NaN never compares equal to its mirror
         with pytest.raises(RangeError, match=re.escape("must lie in (0, 1]")):
