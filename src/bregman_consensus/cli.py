@@ -33,14 +33,11 @@ from . import solver
 from .datasets import synthetic_problem
 from .divergences import DivergenceKind, divergence_spec
 from .ensemble_inputs import (
-    SimilarityMatrix,
-    array_rows,
     coassociation_similarity,
     load_labels,
     load_partitions_csv,
     load_prob_csv,
     load_similarity_triplets,
-    save_labels_txt,
     save_matrix_csv,
     sparsify,
 )
@@ -127,10 +124,9 @@ def _load_problem(args):
 
 
 def _write_labels(path, labeling):
-    header = "index,label," + ",".join(f"p{i + 1}" for i in range(labeling.probabilities.shape[1]))
-    rows = ([i, label, *p] for i, (label, p) in enumerate(
-        array_rows(labeling.labels, labeling.probabilities)))
-    save_matrix_csv(path, rows, header=header)
+    p = labeling.probabilities
+    header = "index,label," + ",".join(f"p{i + 1}" for i in range(p.shape[1]))
+    save_matrix_csv(path, np.arange(p.shape[0]), labeling.labels, p, header=header)
 
 
 def _summary_line(labeling, trace):
@@ -243,7 +239,8 @@ def _cmd_run(args) -> int:
         labeling, state = solver.run(pi, similarity, config)
     _write_labels(args.labels_out, labeling)
     if args.trace_out:
-        save_matrix_csv(args.trace_out, enumerate(state.objective_trace))
+        trace = state.objective_trace
+        save_matrix_csv(args.trace_out, np.arange(len(trace)), trace)
     if args.diagnostics_out:
         entries, _ = _diagnostics_entries((labeling, state), reference, pi, similarity, config,
                                           False, burn_in=5)
@@ -262,7 +259,7 @@ def _cmd_generate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     save_matrix_csv(os.path.join(args.out_dir, "pi.csv"), problem.pi)
     save_matrix_csv(os.path.join(args.out_dir, "partitions.csv"), problem.partitions)
-    save_labels_txt(os.path.join(args.out_dir, "truth.csv"), problem.truth)
+    save_matrix_csv(os.path.join(args.out_dir, "truth.csv"), problem.truth)
     print(f"wrote pi.csv partitions.csv truth.csv to {args.out_dir} "
           f"(targets={problem.pi.shape[0]} train={problem.train_count})")
     return 0

@@ -47,8 +47,9 @@ and each pair once; labels one integer per row.  A file is parsed by
 ``np.loadtxt`` from its path, which reads it in large chunks; a compressed
 name, or a file that parse rejects, has its data lines streamed to the same
 parser, with the same result.  Every rejection is an
-:class:`InputFormatError` naming the file and line.  The writers convert
-arrays to Python numbers a block of rows at a time.
+:class:`InputFormatError` naming the file and line.  Every file is written
+by one writer, :func:`save_matrix_csv`, which formats a block of rows at a
+time with each value as its ``repr``, so files read back bit for bit.
 """
 
 from __future__ import annotations
@@ -684,34 +685,33 @@ def load_labels(path) -> np.ndarray:
     return _integers(path, table, "labels")[:, 0]
 
 
-# Rows turned into Python numbers at a time by the writers: each value's repr
-# costs more than its conversion, so a block keeps memory flat at no cost in time.
+# Rows formatted at a time by the writer: each value's repr costs more than its
+# conversion to a Python number, so a block keeps memory flat at no cost in time.
 _WRITE_ROWS = 1024
 
 
-def array_rows(*columns):
-    """``zip`` of the columns' ``tolist()``, converted ``_WRITE_ROWS`` rows at a time.
+def save_matrix_csv(path, *columns, header: str | None = None):
+    """Write the columns side by side as CSV, every value as its ``repr``.
 
-    Each row is a tuple with one item per column: a Python number from an
-    (n,) column, a list of them from an (n, w) one.
+    An (n,) column is one field per row, an (n, w) column w fields.  Columns
+    of unequal length raise :class:`ShapeError` before the file is opened.
+    Each block of ``_WRITE_ROWS`` rows is one ``%`` on a template of ``%r``
+    fields, so the file reads back bit for bit.
     """
-    for start in range(0, len(columns[0]), _WRITE_ROWS):
-        yield from zip(*(c[start:start + _WRITE_ROWS].tolist() for c in columns))
-
-
-def save_matrix_csv(path, rows, header: str | None = None):
-    """Write a 2-D array, or rows of Python numbers, as CSV of their ``repr``s."""
-    if isinstance(rows, np.ndarray):
-        rows = (row for row, in array_rows(rows))
+    columns = [np.asarray(c) for c in columns]
+    shapes = [c.shape for c in columns]
+    if len({s[:1] for s in shapes}) != 1 or any(len(s) not in (1, 2) for s in shapes):
+        raise ShapeError(f"columns must be (n,) or (n, w) arrays of one length n, got {shapes}")
+    n = shapes[0][0]
+    fields = [c.T if c.ndim == 2 else c[None] for c in columns]  # each (w, n)
+    row = ",".join(["%r"] * sum(len(f) for f in fields)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def save_labels_txt(path, labels):
-    save_matrix_csv(path, np.asarray(labels, dtype=np.int64)[:, None])
+        for start in range(0, n, _WRITE_ROWS):
+            block = [v for f in fields for v in f[:, start:start + _WRITE_ROWS].tolist()]
+            fh.write(row * min(_WRITE_ROWS, n - start) % tuple(itertools.chain(*zip(*block))))
 
 
 def save_similarity_triplets(path, similarity: SimilarityMatrix):
-    save_matrix_csv(path, array_rows(similarity.rows, similarity.cols, similarity.vals))
+    save_matrix_csv(path, similarity.rows, similarity.cols, similarity.vals)

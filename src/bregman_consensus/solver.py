@@ -273,9 +273,16 @@ class _Problem:
         return total
 
     def j0(self, Y):
-        """The single-copy objective J0 at ``Y``: J with ``Y``, clamped once, as both copies."""
+        """The single-copy objective J0 at ``Y``: J with ``Y``, clamped once, as both copies.
+
+        J0 is a sum of divergences, so it is clamped at 0 against rounding,
+        and the descent takes no step that only lowers rounding below 0.  J
+        is not clamped: near the alpha = 0 fixed point its trace keeps
+        distinct rounding values, where a clamp would repeat 0.0 and fire
+        the stopping test before the copies reach pi.
+        """
         Y = self.spec.clamp(Y)
-        return self.objective(Y, Y, lam=0.0)
+        return max(self.objective(Y, Y, lam=0.0), 0.0)
 
     def grad_j0(self, Y):
         """Gradient of J0 at ``Y``; phi's derivatives are taken at ``Y`` clamped.

@@ -556,8 +556,8 @@ class CheckedProblem:
     reproduce bit for bit, J0's mirror descent included: each phi,
     gradient, Hessian diagonal and gradient inverse goes through the public
     :class:`DivergenceSpec` evaluator, which checks and clamps its argument
-    on every call, and J clamps both copies itself; every sum runs in the
-    solver's order.  J0's gradient takes
+    on every call, J clamps both copies itself and J0 its value at 0;
+    every sum runs in the solver's order.  J0's gradient takes
     ``S G`` and ``S Y`` as two products, where the solver makes one.
     """
 
@@ -609,6 +609,9 @@ class CheckedProblem:
             total += lam * float(np.sum(phi_l - phi_r - (y_left - y_right) * grad_right))
         return total
 
+    def j0(self, Y):
+        return max(self.objective(Y, Y, lam=0.0), 0.0)
+
     def grad_j0(self, Y):
         G = self.spec.grad(Y)
         H = self.spec.hess_diag(Y)
@@ -627,9 +630,7 @@ class CheckedProblem:
     def minimize_j0(self):
         from bregman_consensus.solver import _J0_MAX_ITERS, _J0_TOL, _or_none as or_none
 
-        def j0(Y):
-            return self.objective(Y, Y, lam=0.0)
-
+        j0 = self.j0
         Y = self.pi.copy()
         value, g, dual = j0(Y), self.grad_j0(Y), self.spec.grad(Y)
         step = 1.0
@@ -705,8 +706,7 @@ def checked_lambda_threshold(pi, similarity, config, state):
     if float(per_row.max()) <= 1e-9:
         return config.lam
     y_star = problem.minimize_j0()
-    numerator = (problem.objective(y_star, y_star, lam=0.0)
-                 - problem.objective(y_left, y_right, lam=0.0))
+    numerator = problem.j0(y_star) - problem.objective(y_left, y_right, lam=0.0)
     denominator = float(per_row.sum())
     if denominator < 1e-15:
         raise DivisionDegenerateError(

@@ -7,8 +7,8 @@ import pytest
 
 from bregman_consensus import ensemble_inputs
 from bregman_consensus.cli import main
-from bregman_consensus.ensemble_inputs import (SimilarityMatrix, load_prob_csv, save_labels_txt,
-                                               save_matrix_csv, save_similarity_triplets)
+from bregman_consensus.ensemble_inputs import (SimilarityMatrix, load_prob_csv, save_matrix_csv,
+                                               save_similarity_triplets)
 from bregman_consensus.solver import Labeling
 
 from conftest import random_pi, random_similarity, traced_peak
@@ -46,6 +46,18 @@ class TestGenerate:
         for name in ("pi.csv", "partitions.csv", "truth.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_files_match_a_whole_list_oracle(self, tmp_path):
+        from bregman_consensus.datasets import synthetic_problem
+
+        main(["generate", "--kind", "half-moon", "--n", "1100", "--noise", "0.1",
+              "--label-fraction", "0.05", "--seed", "4", "--out-dir", str(tmp_path)])
+        problem = synthetic_problem("half-moon", 1100, 0.1, 0.05, 4)
+        assert problem.pi.shape[0] > ensemble_inputs._WRITE_ROWS  # more than one block
+        for name, array in (("pi.csv", problem.pi), ("partitions.csv", problem.partitions),
+                            ("truth.csv", problem.truth[:, None])):
+            assert (tmp_path / name).read_text() == "".join(
+                ",".join(map(repr, row)) + "\n" for row in array.tolist())
+
 
 class TestRun:
     def test_summary_line_and_accuracy(self, problem_files, tmp_path, capsys):
@@ -79,22 +91,34 @@ class TestRun:
         save_matrix_csv(again, probs)
         np.testing.assert_array_equal(load_prob_csv(again), probs)
 
-    def test_labels_file_matches_in_memory_labeling_exactly(self, problem_files, tmp_path):
+    @pytest.mark.parametrize("source", ["partitions", "pairs"])
+    def test_labels_file_matches_in_memory_labeling_exactly(self, request, tmp_path, source):
         from bregman_consensus.divergences import divergence_spec
         from bregman_consensus.ensemble_inputs import coassociation_similarity, load_partitions_csv
         from bregman_consensus.estimator import check_probabilities
         from bregman_consensus.solver import SolverConfig, run
 
-        pi_path, parts_path, _ = problem_files
-        main(_run_args(pi_path, parts_path, tmp_path, "exact",
-                       "--alpha", "0.3", "--lambda", "0.2", "--threads", "1"))
+        if source == "partitions":  # gen-i, k = 2
+            pi_path, parts_path, _ = request.getfixturevalue("problem_files")
+            argv = _run_args(pi_path, parts_path, tmp_path, "exact")
+            token, pi = "gen-i", load_prob_csv(pi_path)
+            similarity = coassociation_similarity(load_partitions_csv(parts_path))
+        else:  # stored pairs, kl, k = 4
+            rng = np.random.default_rng(21)
+            token, pi, similarity = "kl", random_pi("kl", rng, 50, 4), random_similarity(rng, 50)
+            save_matrix_csv(tmp_path / "pi.csv", pi)
+            save_similarity_triplets(tmp_path / "sim.csv", similarity)
+            argv = ["run", "--pi", str(tmp_path / "pi.csv"), "--similarity",
+                    str(tmp_path / "sim.csv"), "--divergence", token,
+                    "--labels-out", str(tmp_path / "labels_exact.csv")]
+        assert main([*argv, "--alpha", "0.3", "--lambda", "0.2", "--threads", "1"]) == 0
         parsed = load_prob_csv(tmp_path / "labels_exact.csv")
 
-        spec = divergence_spec("gen-i", 2)
-        pi = check_probabilities(load_prob_csv(pi_path), spec)
-        similarity = coassociation_similarity(load_partitions_csv(parts_path))
-        labeling, _ = run(pi, similarity,
+        spec = divergence_spec(token, pi.shape[1])
+        labeling, _ = run(check_probabilities(pi, spec), similarity,
                           SolverConfig(divergence=spec, alpha=0.3, lam=0.2, threads=1))
+        assert parsed.shape == (pi.shape[0], 2 + pi.shape[1])
+        np.testing.assert_array_equal(parsed[:, 0], np.arange(pi.shape[0]))
         np.testing.assert_array_equal(parsed[:, 1].astype(int), labeling.labels)
         np.testing.assert_array_equal(parsed[:, 2:], labeling.probabilities)
 
@@ -544,8 +568,11 @@ class TestBlockedWriters:
         for name, array in (("floats", p), ("ints", ints)):
             save_matrix_csv(tmp_path / name, array)
             assert (tmp_path / name).read_text() == oracle(array.tolist())
-        save_labels_txt(tmp_path / "truth", labels)
+        save_matrix_csv(tmp_path / "truth", labels)
         assert (tmp_path / "truth").read_text() == oracle([x] for x in labels.tolist())
+        trace = p[:, 2].tolist()  # Python floats beside an index column, as --trace-out writes
+        save_matrix_csv(tmp_path / "trace", np.arange(len(trace)), trace)
+        assert (tmp_path / "trace").read_text() == oracle(enumerate(trace))
         if n >= 2:
             pairs = SimilarityMatrix.from_pairs(n, np.arange(n - 1), np.arange(1, n),
                                                 np.maximum(p[1:, 1], 1e-300))

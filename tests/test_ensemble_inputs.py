@@ -16,7 +16,6 @@ from bregman_consensus.divergences import divergence_spec
 from bregman_consensus.ensemble_inputs import (
     SimilarityMatrix,
     SimilarityOperator,
-    array_rows,
     average_class_probabilities,
     coassociation_similarity,
     load_labels,
@@ -433,7 +432,7 @@ class TestAdmission:
         with pytest.raises(ShapeError, match="more than once"):
             SimilarityMatrix.from_pairs(3, i, j, s)
         path = tmp_path / "sim.csv"
-        save_matrix_csv(path, array_rows(np.array(i), np.array(j), np.array(s)))
+        save_matrix_csv(path, i, j, s)
         with pytest.raises(InputFormatError, match="more than once") as err:
             load_similarity_triplets(path)
         assert err.value.line_no == len(i)  # the repeat is the last line
@@ -503,7 +502,7 @@ class TestAdmission:
         order = np.random.default_rng(19).permutation(s.nnz) if shuffled else np.arange(s.nnz)
         rows, cols, vals = s.rows[order], s.cols[order], s.vals[order]
         path = tmp_path / "sim.csv"
-        save_matrix_csv(path, array_rows(cols, rows, vals))  # mirrored
+        save_matrix_csv(path, cols, rows, vals)  # mirrored
         build = {"constructor": lambda: SimilarityMatrix(60, rows, cols, vals),
                  "from_pairs": lambda: SimilarityMatrix.from_pairs(60, cols, rows, vals),
                  "loader": lambda: load_similarity_triplets(path, n=60)}[entry]
@@ -523,7 +522,7 @@ class TestAdmission:
         if shuffled:
             key = rng.permutation(key)
         path = tmp_path / "sim.csv"
-        save_matrix_csv(path, array_rows(key // n, key % n, rng.uniform(0.05, 1.0, key.size)))
+        save_matrix_csv(path, key // n, key % n, rng.uniform(0.05, 1.0, key.size))
         similarity, peak = traced_peak(lambda: load_similarity_triplets(path, n=n))
         stored = similarity.rows.nbytes + similarity.cols.nbytes + similarity.vals.nbytes
         assert similarity.nnz == key.size
@@ -602,6 +601,17 @@ class TestFileFormats:
         path = tmp_path / "parts.csv"
         save_matrix_csv(path, parts)
         np.testing.assert_array_equal(load_partitions_csv(path), parts)
+
+    @pytest.mark.parametrize("columns", [(np.arange(5), np.arange(3), np.ones(4)),
+                                         (np.arange(3), np.ones((4, 2))),
+                                         (np.ones((2, 2, 2)),), (np.float64(1.0),), ()],
+                             ids=["unequal", "unequal-wide", "3-d", "0-d", "none"])
+    def test_writer_rejects_columns_before_opening(self, tmp_path, columns):
+        # zip truncated unequal columns to the shortest: 3 rows and no error
+        path = tmp_path / "out.csv"
+        with pytest.raises(ShapeError, match="one length n"):
+            save_matrix_csv(path, *columns)
+        assert not path.exists()
 
     def test_partitions_reject_floats(self, tmp_path):
         path = tmp_path / "parts.csv"

@@ -717,6 +717,23 @@ def test_minimize_j0_stops_once_the_trial_no_longer_moves(token, monkeypatch):
     assert len(values) - 1 - accepted[-1] < 60
 
 
+def test_minimize_j0_reads_no_negative_j0(monkeypatch):
+    # J0 is 0.0 at pi here; its fit term read -8.87e-17 at the first trial and
+    # the descent took that step, which lowered only rounding
+    pi, s, cfg = random_instance("itakura-saito", np.random.default_rng(0), 2, 2, alpha=10.0)
+    values = []
+    j0 = _Problem.j0
+
+    def counted(self, Y):
+        values.append(j0(self, Y))
+        return values[-1]
+
+    monkeypatch.setattr(_Problem, "j0", counted)
+    y = minimize_j0(pi, s, cfg)
+    assert len(values) > 1 and min(values) >= 0.0
+    assert y.tobytes() == _Problem(pi, s, cfg).pi.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(token=st.sampled_from(ALL_TOKENS), n=st.integers(1, 8), k=st.integers(2, 4),
        scale=st.floats(1e-3, 1e8), share=st.floats(0.0, 0.999), gscale=st.floats(1e-6, 1e6),
