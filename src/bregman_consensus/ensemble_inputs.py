@@ -44,12 +44,18 @@ other line is a row of numbers, all rows the same width.  Probabilities are
 n-by-k reals; partitions n-by-r2 integers, one column per clusterer;
 similarity triplets ``i,j,s`` rows with 0-based indices, i != j, s in [0, 1]
 and each pair once; labels one integer per row.  A file is parsed by
-``np.loadtxt`` from its path, which reads it in large chunks; a compressed
-name, or a file that parse rejects, has its data lines streamed to the same
-parser, with the same result.  Every rejection is an
-:class:`InputFormatError` naming the file and line.  Every file is written
-by one writer, :func:`save_matrix_csv`, which formats a block of rows at a
-time with each value as its ``repr``, so files read back bit for bit.
+``np.loadtxt`` from its path, which reads it in large chunks.  Integer
+columns (partition labels, triplet indices, labels) are read as integers
+there, exactly at any magnitude int64 holds.  A file that integer read
+rejects, such as one holding ``3.0``, is read as floats, and then every
+value of an integer column must be an integer below 2**53 in magnitude,
+the range in which float64 tells neighbouring integers apart.  A
+compressed name, or a file the float parse from the path rejects, has its
+data lines streamed to the same float parser, with the same result.  Every
+rejection is an :class:`InputFormatError` naming the file and line.  Every
+file is written by one writer, :func:`save_matrix_csv`, which formats a
+block of rows at a time with each value as its ``repr``, so files read
+back bit for bit.
 """
 
 from __future__ import annotations
@@ -491,7 +497,11 @@ def coassociation_similarity(partitions) -> SimilarityMatrix:
 
     ``s_ij`` is the fraction of the r2 partitions that place instances i and
     j in the same cluster.  The result keeps the relabelled cluster ids (see
-    :class:`PartitionSimilarity`); no n-by-n array is formed.
+    :class:`PartitionSimilarity`); no n-by-n array is formed.  Each column's
+    labels are numbered 0..m_c-1 in ascending order by :func:`_cluster_ids`,
+    through a presence table or a sort, with the same ids either way, so an
+    array and the file :func:`save_matrix_csv` writes of it give the same
+    clusters.
 
     Parameters
     ----------
@@ -518,8 +528,38 @@ def coassociation_similarity(partitions) -> SimilarityMatrix:
                               f"column {col} holds {float(parts[row, col])!r}")
     clusters = np.empty((n, r2), dtype=np.int64, order="F")
     for col in range(r2):
-        clusters[:, col] = np.unique(parts[:, col], return_inverse=True)[1]
+        clusters[:, col] = _cluster_ids(parts[:, col])
     return PartitionSimilarity(clusters)
+
+
+# Widest label span, in multiples of n, numbered by a presence table; a wider
+# one is sorted.  At this cap the table's bytes are 9 times the column's.
+_SPAN_PER_NODE = 8
+
+
+def _cluster_ids(labels: np.ndarray) -> np.ndarray:
+    """Each label's rank among the column's distinct labels, as int64.
+
+    An integer column whose span ``max - min + 1`` is at most
+    ``_SPAN_PER_NODE`` times its length is numbered through a presence
+    table: each label's offset from the minimum is flagged, and the
+    cumulative count of the flags numbers them.  Any other column is
+    sorted by ``np.unique``.  Both give the same ids.
+    """
+    if labels.dtype.kind in "iu":
+        lo, hi = int(labels.min()), int(labels.max())  # the span in Python integers
+        span = hi - lo + 1
+        if span <= _SPAN_PER_NODE * labels.size:
+            if labels.dtype.kind == "u":  # no label is below lo: no wrap
+                offset = (labels - labels.dtype.type(lo)).astype(np.intp)
+            else:  # in int64: an int8 column from -128 to 127 overflows its own type
+                offset = labels.astype(np.int64) - lo
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            number = np.cumsum(present, dtype=np.int64)
+            number -= 1
+            return number[offset]
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix:
@@ -544,12 +584,14 @@ def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix
 
 # -- file ingestion ---------------------------------------------------------
 # A file is parsed by np.loadtxt from its path, and numpy's C reader takes it
-# in large chunks.  A name numpy's open would decompress, and a file that
-# parse rejects, has its data lines streamed to the same parser one Python
-# string at a time, with the same result.  numpy reads a whitespace-only line
-# as a one-field row, so a file holding one goes to the stream.  Each loader
-# then checks its rules on the array (the triplet loader through
-# _canonical_pairs); the line of a rejected row is found by re-reading the file.
+# in large chunks, as integers where the loader wants them and, when that
+# parse rejects the file, as floats.  A name numpy's open would decompress,
+# and a file the float parse rejects, has its data lines streamed to the
+# float parser one Python string at a time, with the same result.  numpy
+# reads a whitespace-only line as a one-field row, so a file holding one goes
+# to the stream.  Each loader then checks its rules on the array (the triplet
+# loader through _canonical_pairs); the line of a rejected row is found by
+# re-reading the file.
 
 # numpy's open decompresses by these suffixes; such names are streamed
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -592,8 +634,14 @@ def _reject_rows(path, bad: np.ndarray, message: str):
         _reject_row(path, int(np.argmax(bad)), message)
 
 
-def _read_table(path) -> np.ndarray:
-    """The data rows of ``path`` as a (rows, width) float array, (0, 0) when there are none."""
+def _read_table(path, dtype=np.float64) -> np.ndarray:
+    """The data rows of ``path`` as a (rows, width) array, (0, 0) floats when there are none.
+
+    The parse from the path reads the rows as ``dtype`` when it accepts
+    them so.  Otherwise, and always for a compressed name, they are read as
+    float64, from the path and then by the stream.  A caller asking for
+    another type checks the returned one to see which read it got.
+    """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = _data_lines(fh)
         first = next(lines, None)
@@ -601,12 +649,13 @@ def _read_table(path) -> np.ndarray:
             return np.empty((0, 0))  # np.loadtxt warns on empty input
         name = os.fsdecode(path)
         if not name.endswith(_COMPRESSED):
-            try:  # an absolute name: numpy's open fetches a name that reads as a URL
-                return np.loadtxt(os.path.abspath(name), dtype=np.float64, delimiter=",",
-                                  comments=None, ndmin=2, encoding="utf-8-sig",
-                                  skiprows=first[0] - 1)
-            except ValueError:
-                pass  # numpy reads its own handle: fh still stands after the first data line
+            for as_type in dict.fromkeys((dtype, np.float64)):  # the wanted type, then floats
+                try:  # an absolute name: numpy's open fetches a name that reads as a URL
+                    return np.loadtxt(os.path.abspath(name), dtype=as_type, delimiter=",",
+                                      comments=None, ndmin=2, encoding="utf-8-sig",
+                                      skiprows=first[0] - 1)
+                except ValueError:
+                    pass  # numpy reads its own handle: fh still stands after the first data line
         try:
             return _parse(itertools.chain([first[1]], (line for _, line in lines)))
         except ValueError:
@@ -631,13 +680,22 @@ def _read_table(path) -> np.ndarray:
     raise InputFormatError(path, 0, "file does not parse")
 
 
+# float64 holds every integer below this magnitude, and not every one above it
+_EXACT_INTEGERS = 2.0 ** 53
+
+
 def _integers(path, table: np.ndarray, what: str) -> np.ndarray:
-    """``table`` as int64, rejecting the first row that holds a non-integer value."""
+    """A float ``table`` as int64, rejecting the first row that holds a non-integer value.
+
+    An integer of magnitude 2**53 or more is rejected too: float64 cannot
+    tell neighbouring integers apart there, so the file's own value is lost.
+    """
     with np.errstate(invalid="ignore"):  # nan, inf and out-of-range values cast to junk
         ints = table.astype(np.int64)
-    bad = ints != table
+    bad = (ints != table) | ~(np.abs(table) < _EXACT_INTEGERS)
     if bad.any():  # reduced per row only to name the first bad one
-        _reject_rows(path, bad.any(axis=1), f"{what} must be integers")
+        _reject_rows(path, bad.any(axis=1),
+                     f"{what} must be integers, below 2**53 in magnitude in a file read as floats")
     return ints
 
 
@@ -650,39 +708,64 @@ def load_prob_csv(path) -> np.ndarray:
 
 
 def load_partitions_csv(path) -> np.ndarray:
-    """Read an n-by-r2 integer partition CSV (optional header)."""
-    return _integers(path, load_prob_csv(path), "partition labels")
+    """Read an n-by-r2 integer partition CSV (optional header) as int64.
+
+    The labels are read as integers, exactly; a file with a float in it,
+    such as ``3.0``, is read as floats, where every label must be an
+    integer below 2**53 in magnitude.
+    """
+    table = _read_table(path, np.int64)
+    if not table.size:
+        raise InputFormatError(path, 0, "file contains no data rows")
+    return table if table.dtype == np.int64 else _integers(path, table, "partition labels")
+
+
+# One triplet line, as the integer read takes it
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("s", np.float64)])
 
 
 def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     """Read ``i,j,s`` triplet lines into a :class:`SimilarityMatrix`.
 
-    The rows are admitted as :meth:`SimilarityMatrix.from_pairs` admits
-    pairs: indices are integers in ``[0, n)`` with ``i != j``, ``s`` lies in
-    ``[0, 1]``, and a pair listed twice, in either orientation and even
-    with a zero weight, is rejected at its second line.  A broken rule is
-    named at the first line that breaks it.
+    The indices are read as integers, exactly, and ``s`` as a float; a file
+    with a float index, such as ``3.0``, is read as floats, where each index
+    must be an integer below 2**53 in magnitude.  The rows are admitted as
+    :meth:`SimilarityMatrix.from_pairs` admits pairs: indices are integers
+    in ``[0, n)`` with ``i != j``, ``s`` lies in ``[0, 1]``, and a pair
+    listed twice, in either orientation and even with a zero weight, is
+    rejected at its second line.  A broken rule is named at the first line
+    that breaks it.
     """
-    table = _read_table(path)
+    table = _read_table(path, _TRIPLET)
     if not table.size:
         return SimilarityMatrix.empty(n or 0)
-    if table.shape[1] != 3:
-        _reject_row(path, 0, f"expected 'i,j,s', got {table.shape[1]} fields")
-    ij = _integers(path, table[:, :2], "indices")
-    n = max(int(ij.max()) + 1, 0) if n is None else n  # all negative: the range check names it
+    if table.dtype == _TRIPLET:
+        i, j, s = (table[name][:, 0] for name in _TRIPLET.names)
+    else:
+        if table.shape[1] != 3:
+            _reject_row(path, 0, f"expected 'i,j,s', got {table.shape[1]} fields")
+        i, j = _integers(path, table[:, :2], "indices").T
+        s = table[:, 2]
+    if n is None:  # all negative: the range check names it
+        n = max(int(max(i.max(), j.max())) + 1, 0)
     return SimilarityMatrix._from_canonical(n, *_canonical_pairs(
-        n, ij[:, 0], ij[:, 1], table[:, 2],
-        lambda row, error, message: _reject_row(path, row, message)))
+        n, i, j, s, lambda row, error, message: _reject_row(path, row, message)))
 
 
 def load_labels(path) -> np.ndarray:
-    """Read one integer class label per line (optional header)."""
-    table = _read_table(path)
+    """Read one integer class label per line (optional header) as int64.
+
+    Labels are read as integers, exactly; a file with a float in it is read
+    as floats, where every label must be an integer below 2**53 in magnitude.
+    """
+    table = _read_table(path, np.int64)
     if not table.size:
         return np.zeros(0, dtype=np.int64)
     if table.shape[1] != 1:
         _reject_row(path, 0, f"expected one label, got {table.shape[1]} fields")
-    return _integers(path, table, "labels")[:, 0]
+    if table.dtype != np.int64:
+        table = _integers(path, table, "labels")
+    return table[:, 0]
 
 
 # Rows formatted at a time by the writer: each value's repr costs more than its

@@ -714,15 +714,17 @@ def checked_lambda_threshold(pi, similarity, config, state):
     return max(numerator / denominator, 0.0)
 
 
-def streamed_read_table(path):
-    """The data rows of ``path``, every nonblank line streamed to ``np.loadtxt``.
+def streamed_read_table(path, dtype=None):
+    """The data rows of ``path`` as floats, every nonblank line streamed to ``np.loadtxt``.
 
     The direct form ``ensemble_inputs._read_table`` must reproduce bit for
     bit, rejections included: the lines go to the parser one Python string
     at a time after the optional header, and a failure is located by
     parsing each data line next to the first.  The line numbering and the
     rejection are written out here, so this form does not move with the
-    code it checks.
+    code it checks.  ``dtype`` is ignored: the rows are always read as
+    floats, so a loader that asked for integers takes them through its
+    float path, the oracle of its integer read.
     """
     import itertools
 

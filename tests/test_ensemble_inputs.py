@@ -665,6 +665,112 @@ class TestFileFormats:
         np.testing.assert_array_equal(load_labels(path), [1, 0, 1])
 
 
+class TestIntegerRead:
+    def test_partition_labels_above_2_53_are_read_exactly(self, tmp_path):
+        # float64 holds all three as 2**62, which would make them one cluster
+        path = _write(tmp_path, "4611686018427387905\n4611686018427387906\n4611686018427387905\n")
+        parts = load_partitions_csv(path)
+        assert parts[:, 0].tolist() == [2**62 + 1, 2**62 + 2, 2**62 + 1]
+        assert coassociation_similarity(parts).clusters[:, 0].tolist() == [0, 1, 0]
+
+    def test_a_label_above_2_53_is_read_exactly(self, tmp_path):
+        assert load_labels(_write(tmp_path, "9007199254740993\n")).tolist() == [2**53 + 1]
+
+    def test_triplet_indices_are_read_as_integers(self, tmp_path):
+        path = _write(tmp_path, "9007199254740993,0,0.5\n")
+        with pytest.raises(InputFormatError, match="out of range") as err:
+            load_similarity_triplets(path, n=2**53 + 1)
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_partitions_csv, "1.0,0\n9007199254740993,1\n"),
+        (load_partitions_csv, "1.0,0\n-9007199254740992,1\n"),
+        (load_labels, "1.0\n9007199254740993\n"),
+        (load_labels, "1.0\n9007199254740992\n"),
+        (load_similarity_triplets, "0,1.0,0.5\n9007199254740992,1,0.5\n"),
+    ], ids=["partitions", "partitions-negative", "labels", "labels-2**53", "triplets"])
+    def test_a_float_file_rejects_integers_from_2_53(self, tmp_path, loader, text):
+        # float64 reads 9007199254740993 as 9007199254740992
+        with pytest.raises(InputFormatError, match="below 2\\*\\*53") as err:
+            loader(_write(tmp_path, text))
+        assert err.value.line_no == 2
+
+    def test_a_compressed_name_rejects_integers_from_2_53(self, tmp_path):
+        # a compressed name always takes the float stream
+        path = tmp_path / "truth.csv.gz"
+        path.write_text("0\n9007199254740993\n")
+        with pytest.raises(InputFormatError, match="below 2\\*\\*53") as err:
+            load_labels(path)
+        assert err.value.line_no == 2
+
+    def test_integer_files_skip_the_float_path_and_a_float_takes_it(self, tmp_path, monkeypatch):
+        parts = np.random.default_rng(38).integers(0, 6, (40, 3))
+        s = random_similarity(np.random.default_rng(38), 30)
+        part_path, sim_path = tmp_path / "parts.csv", tmp_path / "sim.csv"
+        save_matrix_csv(part_path, parts)
+        save_similarity_triplets(sim_path, s)
+        with monkeypatch.context() as m:
+            m.setattr(ensemble_inputs, "_integers", mock.Mock(side_effect=AssertionError))
+            direct = [load_partitions_csv(part_path), load_similarity_triplets(sim_path, n=30)]
+        for path in (part_path, sim_path):  # one index or label of 3 written as 3.0
+            text = path.read_text()
+            at = re.search(r"(?m)^3,|,3,|,3$", text).start()
+            path.write_text(text[:at] + text[at:].replace("3", "3.0", 1))
+        spy = mock.Mock(side_effect=ensemble_inputs._integers)
+        monkeypatch.setattr(ensemble_inputs, "_integers", spy)
+        floats = [load_partitions_csv(part_path), load_similarity_triplets(sim_path, n=30)]
+        assert spy.call_count == 2
+        assert _same_bits(direct[0], parts) and _same_bits(floats[0], parts)
+        for a, b, c in ((direct[1].rows, floats[1].rows, s.rows),
+                        (direct[1].cols, floats[1].cols, s.cols),
+                        (direct[1].vals, floats[1].vals, s.vals)):
+            assert _same_bits(a, c) and _same_bits(b, c)
+
+
+@st.composite
+def integer_partitions(draw):
+    """An (n, r2) integer partition array: negative, gapped, singleton and extreme labels.
+
+    Each column's span max - min + 1 is drawn on both sides of the presence
+    table's cap, and its minimum near the type's ends, around 0 and around
+    2**53.
+    """
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int64", "uint8", "uint64"])))
+    info = np.iinfo(dtype)
+    n = draw(st.integers(2, 30))
+    cap = ensemble_inputs._SPAN_PER_NODE * n
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        span = min(draw(st.sampled_from([1, 2, n, cap, cap + 1, 40 * n])), 1 + info.max - info.min)
+        top = info.max - span + 1  # the highest minimum
+        near = [info.min, top, -(span // 2), 2**53 - span // 2]
+        lo = draw(st.one_of(st.sampled_from([v for v in near if info.min <= v <= top]),
+                            st.integers(info.min, top)))
+        inner = st.integers(lo, lo + span - 1)
+        labels = [lo, lo + span - 1] + draw(st.lists(inner, min_size=n - 2, max_size=n - 2))
+        columns.append(draw(st.permutations(labels)))
+    return np.array(columns, dtype=dtype).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=integer_partitions())
+def test_the_array_and_its_file_give_one_numbering(parts):
+    clusters = coassociation_similarity(parts).clusters
+    for col in parts.T:
+        want = np.unique(col, return_inverse=True)[1]
+        assert _same_bits(ensemble_inputs._cluster_ids(col), want)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "parts.csv")
+        save_matrix_csv(path, parts)
+        if parts.dtype == np.uint64 and int(parts.max()) > np.iinfo(np.int64).max:
+            with pytest.raises(InputFormatError, match="below 2\\*\\*53"):
+                load_partitions_csv(path)  # past int64, read as floats: not exact
+            return
+        back = load_partitions_csv(path)
+    assert back.tolist() == parts.tolist()
+    assert coassociation_similarity(back).clusters.tobytes() == clusters.tobytes()
+
+
 # -- the one file grammar ------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -868,8 +974,10 @@ class TestByteOrderMark:
 # -- the path parse and the stream ---------------------------------------------
 
 LOADERS = (load_prob_csv, load_partitions_csv, load_similarity_triplets, load_labels)
+# the integer read and the float read agree on every cell below 2**53 in magnitude
 cells = st.one_of(st.integers(0, 4).map(str), st.floats(0.0, 1.0).map(repr), finite.map(repr),
-                  st.sampled_from(["oops", "", " 1", "2 ", "nan", "-inf", "1e400", "1_0"]))
+                  st.sampled_from(["oops", "", " 1", "2 ", "nan", "-inf", "1e400", "1_0",
+                                   "+3", "-0", "007", "\t4", "1e3", "3.0"]))
 # each line's end; a lone CR before an empty line reads as one CRLF
 endings = st.sampled_from(["\n", "\r\n", "\r"])
 # whitespace-only by str.isspace: the stream skips these lines, numpy does not
@@ -912,7 +1020,8 @@ def _outcome(loader, path):
 @settings(max_examples=400, deadline=None)
 @given(data=data_files())
 def test_every_loader_reads_as_the_streamed_oracle(data):
-    # every file with a data line goes to the path parse first
+    # every file with a data line goes to the path parse first, as integers
+    # where the loader wants them; the oracle reads floats only
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "data.csv")
         with open(path, "wb") as fh:
