@@ -63,6 +63,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import os
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -498,10 +499,9 @@ def coassociation_similarity(partitions) -> SimilarityMatrix:
     ``s_ij`` is the fraction of the r2 partitions that place instances i and
     j in the same cluster.  The result keeps the relabelled cluster ids (see
     :class:`PartitionSimilarity`); no n-by-n array is formed.  Each column's
-    labels are numbered 0..m_c-1 in ascending order by :func:`_cluster_ids`,
-    through a presence table or a sort, with the same ids either way, so an
-    array and the file :func:`save_matrix_csv` writes of it give the same
-    clusters.
+    labels are numbered 0..m_c-1 in ascending order by a sort
+    (``np.unique``), so an integer array and the file
+    :func:`save_matrix_csv` writes of it give the same clusters.
 
     Parameters
     ----------
@@ -528,38 +528,8 @@ def coassociation_similarity(partitions) -> SimilarityMatrix:
                               f"column {col} holds {float(parts[row, col])!r}")
     clusters = np.empty((n, r2), dtype=np.int64, order="F")
     for col in range(r2):
-        clusters[:, col] = _cluster_ids(parts[:, col])
+        clusters[:, col] = np.unique(parts[:, col], return_inverse=True)[1]
     return PartitionSimilarity(clusters)
-
-
-# Widest label span, in multiples of n, numbered by a presence table; a wider
-# one is sorted.  At this cap the table's bytes are 9 times the column's.
-_SPAN_PER_NODE = 8
-
-
-def _cluster_ids(labels: np.ndarray) -> np.ndarray:
-    """Each label's rank among the column's distinct labels, as int64.
-
-    An integer column whose span ``max - min + 1`` is at most
-    ``_SPAN_PER_NODE`` times its length is numbered through a presence
-    table: each label's offset from the minimum is flagged, and the
-    cumulative count of the flags numbers them.  Any other column is
-    sorted by ``np.unique``.  Both give the same ids.
-    """
-    if labels.dtype.kind in "iu":
-        lo, hi = int(labels.min()), int(labels.max())  # the span in Python integers
-        span = hi - lo + 1
-        if span <= _SPAN_PER_NODE * labels.size:
-            if labels.dtype.kind == "u":  # no label is below lo: no wrap
-                offset = (labels - labels.dtype.type(lo)).astype(np.intp)
-            else:  # in int64: an int8 column from -128 to 127 overflows its own type
-                offset = labels.astype(np.int64) - lo
-            present = np.zeros(span, dtype=bool)
-            present[offset] = True
-            number = np.cumsum(present, dtype=np.int64)
-            number -= 1
-            return number[offset]
-    return np.unique(labels, return_inverse=True)[1]
 
 
 def sparsify(similarity: SimilarityMatrix, threshold: float) -> SimilarityMatrix:
@@ -634,13 +604,38 @@ def _reject_rows(path, bad: np.ndarray, message: str):
         _reject_row(path, int(np.argmax(bad)), message)
 
 
-def _read_table(path, dtype=np.float64) -> np.ndarray:
-    """The data rows of ``path`` as a (rows, width) array, (0, 0) floats when there are none.
+# One triplet line and one label line as records: the integer read takes each
+# field as its own type, and a line of another width is rejected
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("s", np.float64)])
+_LABEL = np.dtype([("label", np.int64)])
 
-    The parse from the path reads the rows as ``dtype`` when it accepts
-    them so.  Otherwise, and always for a compressed name, they are read as
-    float64, from the path and then by the stream.  A caller asking for
-    another type checks the returned one to see which read it got.
+
+def _parse_path(name, dtype, skip: int) -> np.ndarray:
+    """The rows of the file ``name`` after its first ``skip`` lines, as ``dtype``.
+
+    Some numpy releases in the supported range parse a float such as ``3.5``
+    in an integer field as 3, with only a DeprecationWarning.  That warning
+    is raised here, whatever the caller's warning filters, and those
+    releases then reject the file with a ValueError, as later ones do.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
+        # an absolute name: numpy's open fetches a name that reads as a URL
+        return np.loadtxt(os.path.abspath(name), dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1 if np.dtype(dtype).names else 2, encoding="utf-8-sig",
+                          skiprows=skip)
+
+
+def _read_table(path, dtype=np.float64, what: str = "values") -> np.ndarray:
+    """The data rows of ``path`` as ``dtype``, (0, 0) floats when there are none.
+
+    float64 and int64 give a (rows, width) array, a record type such as
+    ``_TRIPLET`` one record per row.  The rows are parsed from the path as
+    ``dtype``.  A file that parse rejects, such as one holding ``3.0`` in an
+    integer field, is read as floats, as is every compressed name: from the
+    path, then by the stream.  :func:`_typed` converts that float table,
+    naming the integer fields ``what`` when it rejects a row.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = _data_lines(fh)
@@ -650,16 +645,17 @@ def _read_table(path, dtype=np.float64) -> np.ndarray:
         name = os.fsdecode(path)
         if not name.endswith(_COMPRESSED):
             for as_type in dict.fromkeys((dtype, np.float64)):  # the wanted type, then floats
-                try:  # an absolute name: numpy's open fetches a name that reads as a URL
-                    return np.loadtxt(os.path.abspath(name), dtype=as_type, delimiter=",",
-                                      comments=None, ndmin=2, encoding="utf-8-sig",
-                                      skiprows=first[0] - 1)
+                try:
+                    table = _parse_path(name, as_type, first[0] - 1)
                 except ValueError:
-                    pass  # numpy reads its own handle: fh still stands after the first data line
+                    continue  # numpy reads its own handle: fh stands after the first data line
+                return table if as_type == dtype else _typed(path, table, dtype, what)
         try:
-            return _parse(itertools.chain([first[1]], (line for _, line in lines)))
+            table = _parse(itertools.chain([first[1]], (line for _, line in lines)))
         except ValueError:
             pass
+        else:
+            return _typed(path, table, dtype, what)
     # locate the failure, the first row that does not parse next to the first one:
     # rows parse behind the first row only when each of them does, so halve the
     # rows not yet cleared, then confirm the one left
@@ -699,6 +695,24 @@ def _integers(path, table: np.ndarray, what: str) -> np.ndarray:
     return ints
 
 
+def _typed(path, table: np.ndarray, dtype, what: str) -> np.ndarray:
+    """A (rows, width) float ``table`` as ``dtype``, integer fields checked by :func:`_integers`.
+
+    A record type takes one record per row, and rejects a table of another
+    width at its first row.
+    """
+    dtype = np.dtype(dtype)
+    if dtype.names is None:
+        return table if dtype == np.float64 else _integers(path, table, what)
+    if table.shape[1] != len(dtype.names):
+        _reject_row(path, 0, f"expected '{','.join(dtype.names)}', got {table.shape[1]} fields")
+    _integers(path, table[:, [dtype[name].kind == "i" for name in dtype.names]], what)
+    records = np.empty(len(table), dtype)
+    for col, name in enumerate(dtype.names):
+        records[name] = table[:, col]  # a checked integer casts exactly
+    return records
+
+
 def load_prob_csv(path) -> np.ndarray:
     """Read an n-by-k real-valued CSV (optional header)."""
     table = _read_table(path)
@@ -714,14 +728,10 @@ def load_partitions_csv(path) -> np.ndarray:
     such as ``3.0``, is read as floats, where every label must be an
     integer below 2**53 in magnitude.
     """
-    table = _read_table(path, np.int64)
+    table = _read_table(path, np.int64, "partition labels")
     if not table.size:
         raise InputFormatError(path, 0, "file contains no data rows")
-    return table if table.dtype == np.int64 else _integers(path, table, "partition labels")
-
-
-# One triplet line, as the integer read takes it
-_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("s", np.float64)])
+    return table
 
 
 def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
@@ -736,16 +746,10 @@ def load_similarity_triplets(path, n: int | None = None) -> SimilarityMatrix:
     rejected at its second line.  A broken rule is named at the first line
     that breaks it.
     """
-    table = _read_table(path, _TRIPLET)
+    table = _read_table(path, _TRIPLET, "indices")
     if not table.size:
         return SimilarityMatrix.empty(n or 0)
-    if table.dtype == _TRIPLET:
-        i, j, s = (table[name][:, 0] for name in _TRIPLET.names)
-    else:
-        if table.shape[1] != 3:
-            _reject_row(path, 0, f"expected 'i,j,s', got {table.shape[1]} fields")
-        i, j = _integers(path, table[:, :2], "indices").T
-        s = table[:, 2]
+    i, j, s = (table[name] for name in _TRIPLET.names)
     if n is None:  # all negative: the range check names it
         n = max(int(max(i.max(), j.max())) + 1, 0)
     return SimilarityMatrix._from_canonical(n, *_canonical_pairs(
@@ -758,14 +762,10 @@ def load_labels(path) -> np.ndarray:
     Labels are read as integers, exactly; a file with a float in it is read
     as floats, where every label must be an integer below 2**53 in magnitude.
     """
-    table = _read_table(path, np.int64)
+    table = _read_table(path, _LABEL, "labels")
     if not table.size:
         return np.zeros(0, dtype=np.int64)
-    if table.shape[1] != 1:
-        _reject_row(path, 0, f"expected one label, got {table.shape[1]} fields")
-    if table.dtype != np.int64:
-        table = _integers(path, table, "labels")
-    return table[:, 0]
+    return table["label"]
 
 
 # Rows formatted at a time by the writer: each value's repr costs more than its

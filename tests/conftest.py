@@ -714,21 +714,21 @@ def checked_lambda_threshold(pi, similarity, config, state):
     return max(numerator / denominator, 0.0)
 
 
-def streamed_read_table(path, dtype=None):
-    """The data rows of ``path`` as floats, every nonblank line streamed to ``np.loadtxt``.
+def streamed_read_table(path, dtype=np.float64, what="values"):
+    """The data rows of ``path`` as ``dtype``, every nonblank line streamed to ``np.loadtxt``.
 
     The direct form ``ensemble_inputs._read_table`` must reproduce bit for
     bit, rejections included: the lines go to the parser one Python string
     at a time after the optional header, and a failure is located by
     parsing each data line next to the first.  The line numbering and the
     rejection are written out here, so this form does not move with the
-    code it checks.  ``dtype`` is ignored: the rows are always read as
-    floats, so a loader that asked for integers takes them through its
-    float path, the oracle of its integer read.
+    code it checks.  The rows are always read as floats and then converted
+    by ``_typed``, the float path of every loader, so a loader that asks
+    for integers has its integer read checked against its float read.
     """
     import itertools
 
-    from bregman_consensus.ensemble_inputs import _is_header, _parse
+    from bregman_consensus.ensemble_inputs import _is_header, _parse, _typed
     from bregman_consensus.exceptions import InputFormatError
 
     def numbered_data_lines():
@@ -744,9 +744,11 @@ def streamed_read_table(path, dtype=None):
         if first is None:
             return np.empty((0, 0))
         try:
-            return _parse(itertools.chain([first], lines))
+            table = _parse(itertools.chain([first], lines))
         except ValueError:
             pass
+        else:
+            return _typed(path, table, dtype, what)
     numbered = numbered_data_lines()
     for line_no, line in numbered:
         try:
