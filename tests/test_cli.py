@@ -11,7 +11,7 @@ from bregman_consensus.ensemble_inputs import (SimilarityMatrix, load_prob_csv, 
                                                save_similarity_triplets)
 from bregman_consensus.solver import Labeling
 
-from conftest import random_pi, random_similarity, traced_peak
+from conftest import ALL_TOKENS, random_pi, random_similarity, traced_peak
 
 
 @pytest.fixture
@@ -312,6 +312,48 @@ def test_diagnostics_out_reuses_the_main_solve(problem_files, tmp_path, monkeypa
     entries, _ = cli._diagnostics_entries(recorded, reference, pi_arr, similarity, config, None,
                                           burn_in=5)
     assert report.read_bytes() == diag.render_report(entries).encode("utf-8")
+
+
+@pytest.mark.parametrize("token", ALL_TOKENS)
+def test_stored_pair_outputs_match_the_row_kernel_bytewise(tmp_path, monkeypatch, capsys, token):
+    # the operator reads the canonical CSR through its CSC view; S is symmetric,
+    # so each y_i adds the same terms in the same order as the row-major CSR did
+    rng = np.random.default_rng(ALL_TOKENS.index(token))
+    n, k = 24, 4  # 2 n k = 192: the Hessian checks fit
+    save_matrix_csv(tmp_path / "pi.csv", random_pi(token, rng, n, k))
+    save_similarity_triplets(tmp_path / "sim.csv", random_similarity(rng, n, density=0.3))
+    save_matrix_csv(tmp_path / "truth.csv", rng.integers(0, k, n))
+    source = ["--pi", str(tmp_path / "pi.csv"), "--similarity", str(tmp_path / "sim.csv"),
+              "--divergence", token, "--alpha", "0.8", "--lambda", "0.5"]
+    commands = {
+        "converged": ["run", *source, "--truth", str(tmp_path / "truth.csv")],
+        "capped": ["run", *source, "--truth", str(tmp_path / "truth.csv"), "--max-iters", "5"],
+        "diagnose": ["diagnose", *source],
+    }
+
+    def outputs():  # each kernel writes the same paths, which stdout names
+        got = {}
+        for case, argv in commands.items():
+            files = [tmp_path / f"{case}_{name}"
+                     for name in ("labels.csv", "trace.csv", "report.txt")]
+            written = (["--labels-out", str(files[0])] if argv[0] == "run"
+                       else ["--report-out", str(files[2])])
+            code = main([*argv, *written, "--trace-out", str(files[1])])
+            got[case] = (code, capsys.readouterr().out,
+                         [path.read_bytes() for path in files if path.exists()])
+        return got
+
+    real = ensemble_inputs._symmetric_csr
+    monkeypatch.setattr(ensemble_inputs, "_symmetric_csr", lambda similarity: real(similarity).T)
+    assert random_similarity(rng, 3).operator._matrix.format == "csr"  # .T.T: the row kernel
+    rows = outputs()
+    monkeypatch.undo()
+    assert random_similarity(rng, 3).operator._matrix.format == "csc"
+    columns = outputs()
+    assert rows["converged"][0] == 0 and rows["capped"][0] == 3 and rows["diagnose"][0] == 0
+    report = rows["diagnose"][2][1].decode()
+    assert "hessian=skipped=size" not in report and "lambda_hat=" in report
+    assert columns == rows
 
 
 # the 1e-14 reference stops after the run (continued), before it (snapshot),

@@ -231,7 +231,8 @@ class TestOperatorBuild:
             assert got.dtype == oracle.dtype
             assert got.tobytes() == oracle.tobytes()
         matrix = SimilarityOperator(similarity)._matrix
-        assert matrix.has_canonical_format
+        # the CSC view of the canonical CSR: S is symmetric, so column j is row j
+        assert matrix.format == "csc" and matrix.has_canonical_format
         for got, oracle in zip((matrix.indptr, matrix.indices, matrix.data), want):
             assert np.array_equal(got, oracle)
 
@@ -266,6 +267,13 @@ def _star(rng, n):
                                        rng.uniform(0.05, 1.0, n - 1))
 
 
+def _operand_with_negative_zeros(rng, n, m, order):
+    """An (n, m) operand, C-ordered, F-ordered or a strided slice, about 30 % -0.0."""
+    Y = rng.normal(size=(n, 2 * m))
+    Y[rng.uniform(size=Y.shape) < 0.3] = -0.0
+    return {"C": Y[:, :m].copy(), "F": np.asfortranarray(Y[:, :m]), "sliced": Y[::-1, ::2]}[order]
+
+
 def _stored_pairs(layout, rng, n):
     if layout == "star" and n >= 2:
         return _star(rng, n)
@@ -283,9 +291,7 @@ class TestStoredPairProduct:
         rng = np.random.default_rng(seed)
         similarity = _stored_pairs(layout, rng, n)
         op = SimilarityOperator(similarity)
-        Y = rng.normal(size=(n, 2 * m))
-        Y[rng.uniform(size=Y.shape) < 0.3] = -0.0
-        Y = {"C": Y[:, :m].copy(), "F": np.asfortranarray(Y[:, :m]), "sliced": Y[::-1, ::2]}[order]
+        Y = _operand_with_negative_zeros(rng, n, m, order)
         csr = similarity.symmetrized_csr()
         dense = similarity.to_dense()
         bound = 1e-12 * (dense @ np.abs(Y))  # a row's terms may cancel
@@ -306,6 +312,23 @@ class TestStoredPairProduct:
                                                     similarity.vals))
         assert again.matvec(Y).tobytes() == got.tobytes() == op.matvec(Y).tobytes()
         assert again.row_sum.tobytes() == op.row_sum.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 60), m=st.integers(1, 8),
+           layout=st.sampled_from(["random", "empty", "gaps", "star", "partitions"]),
+           order=st.sampled_from(["C", "F", "sliced"]), seed=st.integers(0, 2**32 - 1))
+    def test_column_kernel_gives_the_row_kernels_bits(self, n, m, layout, order, seed):
+        # column j of the view is row j, and each y_i still adds s_ij x_j in ascending j
+        from scipy import sparse
+
+        rng = np.random.default_rng(seed)
+        similarity = _stored_pairs(layout, rng, n)
+        op = SimilarityOperator(similarity)
+        Y = _operand_with_negative_zeros(rng, n, m, order)
+        indptr, indices, data = similarity.symmetrized_csr()
+        rows = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        assert op.matvec(Y).tobytes() == (rows @ Y).tobytes()
+        assert op.row_sum.tobytes() == (rows @ np.ones((n, 1)))[:, 0].tobytes()
 
     @pytest.mark.parametrize("backing, shape", [
         ("pairs", (4, 2)), ("pairs", (6, 2)), ("pairs", (5,)),
